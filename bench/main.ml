@@ -1156,9 +1156,10 @@ let ext_hyper () =
    1. violation detection: the postings-driven join (violation_sets)
       against the seed's naive O(n^k) nested scan (violations) on the
       same mixed-arity denial set — the >= 10x claim.
-   2. binary parity: a pure-FD workload through Hyper.of_fds +
-      Hdecompose must return the verdicts of Conflict.build + Decompose
-      at comparable cost — generalizing must not tax the common case.
+   2. substrate parity: one engine, two substrates — a pure-FD
+      workload over Hyper.of_fds must return the verdicts of
+      Conflict.build at comparable cost — generalizing must not tax
+      the common case.
    3. scale: the clustered million-fact scenario (20k under --quick):
       build, decompose and ground certainty, with the unflagged
       consistent tail kept out of every join by the flag-gate probe. *)
@@ -1231,7 +1232,7 @@ let hyper_bench () =
     ~median:t_join ~baseline:t_naive ~edges:witnesses
     ~note:"mixed arity-1/2/3 denial set; baseline = seed O(n^k) nested scan"
     ();
-  (* -- 2. binary parity: of_fds + Hdecompose vs Conflict + Decompose -- *)
+  (* -- 2. substrate parity: the sharded engine over Conflict vs over Hyper -- *)
   let pfacts = sz 20_000 2_000 and pgroups = sz 512 64 in
   let prel, pfds = Generator.clustered_conflicts ~facts:pfacts ~groups:pgroups ~width:4 in
   let h0 = Core.Hyper.of_fds pfds prel in
@@ -1253,17 +1254,17 @@ let hyper_bench () =
   Harness.table
     ~header:[ Printf.sprintf "FD parity (n=%d)" pfacts; "build+decompose+CQA" ]
     [
-      [ "Conflict + Decompose (binary)"; Harness.time_cell t_conflict ];
-      [ "of_fds + Hdecompose"; Harness.time_cell t_hyper ];
-      [ "ratio (binary/hyper)"; Printf.sprintf "%.2fx" (t_conflict /. t_hyper) ];
+      [ "Conflict"; Harness.time_cell t_conflict ];
+      [ "Hyper via of_fds"; Harness.time_cell t_hyper ];
+      [ "ratio (Conflict/Hyper)"; Printf.sprintf "%.2fx" (t_conflict /. t_hyper) ];
     ];
   Harness.record_hyper
     ~name:(Printf.sprintf "fd-parity/n=%d" pfacts)
     ~median:t_hyper ~baseline:t_conflict
     ~edges:(Hypergraph.edge_count (Core.Hyper.hypergraph h0))
     ~note:
-      "pure-FD workload, end-to-end build+decompose+ground CQA; baseline = \
-       binary Conflict/Decompose path"
+      "pure-FD workload, end-to-end build+decompose+ground CQA on one \
+       engine; baseline = the Conflict substrate"
     ();
   (* -- 3. scale: the clustered (million-fact) scenario -- *)
   let sfacts = sz 1_000_000 20_000 and sgroups = sz 2048 256 in

@@ -201,22 +201,8 @@ let stats_cmd =
 let repairs_cmd =
   let run path family limit =
     with_context path (fun _spec c p ->
-        let repairs = Family.repairs family c p in
-        Format.printf "%s: %d preferred repair(s)@."
-          (Family.name_to_string family)
-          (List.length repairs);
-        List.iteri
-          (fun i s ->
-            if i < limit then begin
-              Format.printf "--- repair %d ---@." (i + 1);
-              Relational.Relation.iter
-                (fun t -> Format.printf "  %a@." Relational.Tuple.pp t)
-                (Core.Repair.to_relation c s)
-            end)
-          repairs;
-        if List.length repairs > limit then
-          Format.printf "... (%d more; raise --limit)@."
-            (List.length repairs - limit);
+        Core.Decompose.pp_repairs ~hint:"; raise --limit" family
+          (Core.Decompose.make c p) ~limit Format.std_formatter;
         0)
   in
   Cmd.v
@@ -1363,22 +1349,8 @@ let hyper_count_cmd =
 let hyper_repairs_cmd =
   let run path family limit =
     with_hyper path (fun _spec h p ->
-        let repairs = Hfamily.repairs family h p in
-        Format.printf "%s: %d preferred repair(s)@."
-          (Hfamily.name_to_string family)
-          (List.length repairs);
-        List.iteri
-          (fun i s ->
-            if i < limit then begin
-              Format.printf "--- repair %d ---@." (i + 1);
-              Relational.Relation.iter
-                (fun t -> Format.printf "  %a@." Relational.Tuple.pp t)
-                (Core.Hyper.to_relation h s)
-            end)
-          repairs;
-        if List.length repairs > limit then
-          Format.printf "... (%d more; raise --limit)@."
-            (List.length repairs - limit);
+        Core.Hdecompose.pp_repairs ~hint:"; raise --limit" family
+          (Core.Hdecompose.make h p) ~limit Format.std_formatter;
         0)
   in
   Cmd.v

@@ -20,13 +20,17 @@
     that grow with the instance).
 
     Correctness of the factorization is cross-validated against the
-    monolithic engines in the test suite. *)
+    monolithic engines in the test suite.
+
+    This module is the {!Sharded} engine applied to the binary conflict
+    graph ([Conflict]/[Priority]/[Family]); {!Hdecompose} is the same
+    engine over the conflict hypergraph of denial constraints. *)
 
 open Graphs
 
 type t
 
-type counters = {
+type counters = Sharded.counters = {
   mutable cache_hits : int;
       (** [preferred_within] served from the component cache *)
   mutable cache_misses : int;
@@ -195,6 +199,14 @@ val member : Family.name -> t -> Vset.t -> bool
 val one : Family.name -> t -> Vset.t option
 (** Some preferred repair — the union of one preferred repair per
     component. [None] only on a P1 violation. *)
+
+val pp_repairs :
+  ?hint:string -> Family.name -> t -> limit:int -> Format.formatter -> unit
+(** Prints the family's size ({!count}) and its first [limit] repairs
+    in {!iter} order, stopping the stream after [limit] — so listing a
+    few repairs of an exponential family costs [limit] combinations,
+    not the family. A final ["... (N more<hint>)"] line reports the
+    rest. *)
 
 val certainty : Family.name -> t -> Query.Ast.t -> Cqa.certainty
 (** Certainty of a closed query. Ground quantifier-free queries route

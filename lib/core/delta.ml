@@ -1,28 +1,37 @@
-open Relational
-open Graphs
+include Journal.Make (struct
+  type substrate = Conflict.t
+  type priority = Priority.t
+  type decompose = Decompose.t
+  type delta = Conflict.delta
+  type config = Pref_rules.rule
 
-type op = Insert of Tuple.t | Delete of Tuple.t
+  let span = "delta.apply"
+  let edge_noun = "conflict edge(s)"
 
-type report = {
-  inserted : int;
-  deleted : int;
-  edges_added : int;
-  edges_removed : int;
-  components_dirtied : int;
-  cache_evicted : int;
-  cache_retained : int;
-}
+  let batch_ops =
+    Obs.Registry.histogram ~buckets:Obs.Metric.size_buckets
+      ~help:"Operations per accepted Delta batch" "prefdb_delta_batch_ops"
 
-type t = {
-  rule : Pref_rules.rule;
-  mutable conflict : Conflict.t;
-  mutable priority : Priority.t;
-  mutable decompose : Decompose.t;
-  mutable history : op list list;  (* inverse batches, most recent first *)
-  mutable colstats : Planner.Stats.t option;
-      (* exact column statistics, built on first demand and patched in
-         place by every subsequent batch (undo included) *)
-}
+  let evictions =
+    Some
+      (Obs.Registry.counter
+         ~help:"Decompose component caches evicted by Delta batches"
+         "prefdb_decompose_cache_evictions_total")
+
+  let apply_delta = Conflict.apply_delta
+
+  (* re-orient only the new edges; arcs of tombstoned tuples drop out *)
+  let update_priority rule conflict p (delta : delta) =
+    let oriented = Pref_rules.orient conflict rule delta.edges_added in
+    let dropped = Graphs.Vset.of_list delta.deleted in
+    Result.map_error Priority.error_to_string
+      (Priority.update conflict p ~dropped ~oriented)
+
+  let make = Decompose.make
+  let apply_decompose = Decompose.apply_delta
+  let counters = Decompose.counters
+  let relation = Conflict.relation
+end)
 
 let create ?(rule = fun _ _ -> false) fds relation =
   match Conflict.build fds relation with
@@ -30,132 +39,6 @@ let create ?(rule = fun _ _ -> false) fds relation =
   | conflict -> (
     match Pref_rules.apply conflict rule with
     | Error e -> Error e
-    | Ok priority ->
-      Ok
-        {
-          rule;
-          conflict;
-          priority;
-          decompose = Decompose.make conflict priority;
-          history = [];
-          colstats = None;
-        })
+    | Ok priority -> Ok (make rule conflict priority))
 
-let m_batch_ops =
-  Obs.Registry.histogram ~buckets:Obs.Metric.size_buckets
-    ~help:"Operations per accepted Delta batch" "prefdb_delta_batch_ops"
-
-let m_evicted =
-  Obs.Registry.counter
-    ~help:"Decompose component caches evicted by Delta batches"
-    "prefdb_decompose_cache_evictions_total"
-
-let split ops =
-  let ins, del =
-    List.fold_left
-      (fun (ins, del) -> function
-        | Insert x -> (x :: ins, del)
-        | Delete x -> (ins, x :: del))
-      ([], []) ops
-  in
-  (List.rev ins, List.rev del)
-
-(* One batch through every layer; caller handles history. All layers
-   validate before mutating anything, so an [Error] leaves [t] as it
-   was. *)
-let apply_batch t ops =
-  Obs.Span.with_span "delta.apply"
-    ~args:[ ("ops", Obs.Event.Int (List.length ops)) ]
-  @@ fun () ->
-  let insert, delete = split ops in
-  match Conflict.apply_delta t.conflict ~insert ~delete with
-  | Error e -> Error e
-  | Ok (conflict, delta) -> (
-    let oriented =
-      Pref_rules.orient conflict t.rule delta.Conflict.edges_added
-    in
-    let dropped = Vset.of_list delta.Conflict.deleted in
-    match Priority.update conflict t.priority ~dropped ~oriented with
-    | Error e -> Error (Priority.error_to_string e)
-    | Ok priority ->
-      let before = Decompose.counters t.decompose in
-      let decompose =
-        Decompose.apply_delta t.decompose conflict priority delta
-      in
-      let after = Decompose.counters decompose in
-      t.conflict <- conflict;
-      t.priority <- priority;
-      t.decompose <- decompose;
-      (* the batch was accepted in full, so the statistics patch sees
-         exactly the tuples the relation applied *)
-      Option.iter
-        (fun s -> Planner.Stats.patch s ~delete ~insert)
-        t.colstats;
-      let evicted =
-        after.Decompose.cache_evicted - before.Decompose.cache_evicted
-      in
-      Obs.Metric.observe m_batch_ops (Float.of_int (List.length ops));
-      Obs.Metric.incr ~by:evicted m_evicted;
-      Ok
-        {
-          inserted = List.length delta.Conflict.inserted;
-          deleted = List.length delta.Conflict.deleted;
-          edges_added = List.length delta.Conflict.edges_added;
-          edges_removed = List.length delta.Conflict.edges_removed;
-          components_dirtied =
-            after.Decompose.components_dirtied
-            - before.Decompose.components_dirtied;
-          cache_evicted = evicted;
-          cache_retained =
-            after.Decompose.cache_retained - before.Decompose.cache_retained;
-        })
-
-let apply t ops =
-  (* capture before the batch mutates [t] *)
-  let insert, delete = split ops in
-  match apply_batch t ops with
-  | Error e -> Error e
-  | Ok report ->
-    let inverse =
-      List.map (fun x -> Delete x) insert @ List.map (fun x -> Insert x) delete
-    in
-    t.history <- inverse :: t.history;
-    Ok report
-
-let undo t =
-  match t.history with
-  | [] -> Error "nothing to undo"
-  | inverse :: rest -> (
-    match apply_batch t inverse with
-    | Error e -> Error e (* unreachable for inverses of accepted batches *)
-    | Ok report ->
-      t.history <- rest;
-      Ok report)
-
-let history_depth t = List.length t.history
-let drop_history t = t.history <- []
-let conflict t = t.conflict
-let priority t = t.priority
-let decompose t = t.decompose
-let relation t = Conflict.relation t.conflict
-
-let column_stats t =
-  match t.colstats with
-  | Some s -> s
-  | None ->
-    let s = Planner.Stats.scan (relation t) in
-    t.colstats <- Some s;
-    s
-
-let stats_lookup t =
-  let name = Schema.name (Relation.schema (relation t)) in
-  fun r -> if String.equal r name then Some (column_stats t) else None
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>applied:                +%d tuple(s), -%d tuple(s) (%d conflict \
-     edge(s) added, %d removed)@,\
-     invalidation:           %d component(s) dirtied; cache %d evicted, %d \
-     retained@]"
-    r.inserted r.deleted r.edges_added r.edges_removed r.components_dirtied
-    r.cache_evicted r.cache_retained
+let conflict = substrate

@@ -18,7 +18,10 @@
     ordinary incremental update replayed backwards (and therefore
     exactly as cheap). A failed batch — schema mismatch, deleting an
     absent tuple, a preference rule turning cyclic on the new instance —
-    leaves the engine observably unchanged. *)
+    leaves the engine observably unchanged.
+
+    The handle is {!Journal.Make} bound to the binary conflict graph;
+    {!Hdelta} binds the same handle to the hypergraph. *)
 
 open Relational
 
@@ -27,7 +30,7 @@ type t
     underlying [Conflict.t]/[Priority.t]/[Decompose.t] values remain
     persistent — snapshots taken via the accessors stay valid. *)
 
-type op = Insert of Tuple.t | Delete of Tuple.t
+type op = Journal.op = Insert of Tuple.t | Delete of Tuple.t
 
 type report = {
   inserted : int;

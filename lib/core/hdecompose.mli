@@ -1,5 +1,6 @@
-(** Component decomposition of the conflict hypergraph — {!Decompose}
-    generalized to denial constraints.
+(** Component decomposition of the conflict hypergraph — the {!Sharded}
+    engine applied to denial constraints ([Hyper]/[Hpriority]/[Hfamily]);
+    {!Decompose} is the same engine over the binary conflict graph.
 
     Hyperedges connect their vertices, so the hypergraph splits into
     connected components and every preferred-repair family of
@@ -8,15 +9,16 @@
     improvements act within components. Free vertices (covered by no
     edge) are aggregated into one set — they belong to every preferred
     repair — and a vertex carrying a singleton edge forms a one-vertex
-    component whose only repair is the empty set. Slots, the
-    preferred-repair cache, the Pool-parallel warm/count/certainty
-    machinery and the counter discipline mirror {!Decompose}. *)
+    component whose only repair is the empty set. The two instances
+    share one implementation, one counters record and one span
+    vocabulary ([decompose.*], [cqa.certainty], [cqa.open], with
+    [substrate = "hyper"]). *)
 
 open Graphs
 
 type t
 
-type counters = {
+type counters = Sharded.counters = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable component_repairs : int;
@@ -83,6 +85,11 @@ val for_all : Hfamily.name -> t -> (Vset.t -> bool) -> bool
 val member : Hfamily.name -> t -> Vset.t -> bool
 val one : Hfamily.name -> t -> Vset.t option
 
+val pp_repairs :
+  ?hint:string -> Hfamily.name -> t -> limit:int -> Format.formatter -> unit
+(** The family's size and its first [limit] repairs, as
+    {!Decompose.pp_repairs}. *)
+
 val certainty_ground :
   Hfamily.name -> t -> Query.Ast.t -> (Cqa.certainty, string) result
 (** Polynomial ground certainty through per-component demand checks. *)
@@ -93,8 +100,18 @@ val certainty : Hfamily.name -> t -> Query.Ast.t -> Cqa.certainty
 
 val consistent_answer : Hfamily.name -> t -> Query.Ast.t -> bool
 
+val consistent_answers_open :
+  Hfamily.name -> t -> Query.Ast.t -> string list * Relational.Value.t list list
+(** Free variables (sorted) and the bindings answering the query in
+    every preferred repair, as {!Decompose.consistent_answers_open}. *)
+
 val certain_tuples : Hfamily.name -> t -> Vset.t
 val possible_tuples : Hfamily.name -> t -> Vset.t
+
+val aggregate_range :
+  Hfamily.name -> t -> Aggregate.agg -> (Aggregate.range, string) result
+(** Aggregate ranges over the preferred repairs, as
+    {!Decompose.aggregate_range}. *)
 
 val evaluate_in_repair : t -> Vset.t -> Query.Ast.t -> bool
 

@@ -1,5 +1,5 @@
-(** Incremental updates for denial-constraint instances — {!Delta} on
-    the hyperedge substrate.
+(** Incremental updates for denial-constraint instances — the
+    {!Journal} handle behind {!Delta}, bound to the hyperedge substrate.
 
     A mutable handle bundling the conflict hypergraph, a priority over
     it and the component decomposition; {!apply} pushes a batch of

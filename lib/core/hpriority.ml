@@ -1,48 +1,5 @@
 open Graphs
 
-type t = Digraph.t
-
-type error = Not_conflicting of int * int | Cyclic
-
-let error_to_string = function
-  | Not_conflicting (u, v) ->
-    Printf.sprintf
-      "priority arc %d > %d does not connect conflicting tuples" u v
-  | Cyclic -> "priority relation is cyclic"
-
-let empty h = Digraph.create (Hyper.size h) []
-
-let validate h g =
-  let bad =
-    List.find_opt
-      (fun (u, v) -> not (Hyper.conflicting h u v))
-      (Digraph.arcs g)
-  in
-  match bad with
-  | Some (u, v) -> Error (Not_conflicting (u, v))
-  | None -> if Digraph.has_cycle g then Error Cyclic else Ok g
-
-let of_arcs h arcs = validate h (Digraph.create (Hyper.size h) arcs)
-
-let of_arcs_exn h arcs =
-  match of_arcs h arcs with
-  | Ok p -> p
-  | Error e -> invalid_arg (error_to_string e)
-
-let of_tuple_pairs h pairs =
-  of_arcs h
-    (List.map
-       (fun (x, y) -> (Hyper.index_exn h x, Hyper.index_exn h y))
-       pairs)
-
-let arcs = Digraph.arcs
-let arc_count = Digraph.arc_count
-let dominates p x y = Digraph.mem_arc p x y
-let dominators p y = Digraph.pred p y
-let dominated p x = Digraph.succ p x
-
-let oriented p u v = dominates p u v || dominates p v u
-
 (* Conflicting pairs = unordered pairs inside a hyperedge; edges are
    small (bounded by the widest constraint), so this is linear in the
    edge store. *)
@@ -56,8 +13,14 @@ let conflicting_pairs h =
            vs)
        (Hypergraph.edges (Hyper.hypergraph h)))
 
-let unoriented h p =
-  List.filter (fun (u, v) -> not (oriented p u v)) (conflicting_pairs h)
+include Priority_core.Make (struct
+  type t = Hyper.t
+
+  let size = Hyper.size
+  let conflicting = Hyper.conflicting
+  let pairs = conflicting_pairs
+  let index_exn = Hyper.index_exn
+end)
 
 (* Orient the conflicting pairs by a tuple-level rule, exactly as
    {!Pref_rules.orient} does on the binary graph: an arc only where the
@@ -76,27 +39,6 @@ let of_rule h rule =
   match of_arcs h arcs with
   | Ok p -> Ok p
   | Error e -> Error (error_to_string e)
-
-let is_total h p = unoriented h p = []
-
-let extend h p new_arcs = of_arcs h (new_arcs @ Digraph.arcs p)
-
-let totalize h p =
-  let order =
-    match Digraph.topological_order p with
-    | Some order -> order
-    | None -> assert false (* valid priorities are acyclic *)
-  in
-  let rank = Array.make (Hyper.size h) 0 in
-  List.iteri (fun i v -> rank.(v) <- i) order;
-  let new_arcs =
-    List.map
-      (fun (u, v) -> if rank.(u) < rank.(v) then (u, v) else (v, u))
-      (unoriented h p)
-  in
-  match extend h p new_arcs with
-  | Ok p' -> p'
-  | Error _ -> assert false (* arcs follow a linear order: acyclic *)
 
 let update h p ~dropped ~oriented =
   Obs.Span.with_span "hpriority.update"
@@ -123,15 +65,3 @@ let update h p ~dropped ~oriented =
        revalidated against the updated hypergraph *)
     Ok (Digraph.create (Hyper.size h) kept)
   | _ :: _ -> of_arcs h (oriented @ kept)
-
-let winnow p s =
-  Vset.filter (fun v -> Vset.is_empty (Vset.inter (dominators p v) s)) s
-
-let restrict p s = Digraph.restrict p s
-
-let pp ppf p =
-  Format.fprintf ppf "@[{%a}@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (u, v) -> Format.fprintf ppf "t%d > t%d" u v))
-    (Digraph.arcs p)

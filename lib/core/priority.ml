@@ -1,56 +1,13 @@
 open Graphs
 
-type t = Digraph.t
+include Priority_core.Make (struct
+  type t = Conflict.t
 
-type error = Not_conflicting of int * int | Cyclic
-
-let error_to_string = function
-  | Not_conflicting (u, v) ->
-    Printf.sprintf
-      "priority arc %d > %d does not connect conflicting tuples" u v
-  | Cyclic -> "priority relation is cyclic"
-
-let empty c = Digraph.create (Conflict.size c) []
-
-let validate c g =
-  let bad =
-    List.find_opt
-      (fun (u, v) -> not (Undirected.mem_edge (Conflict.graph c) u v))
-      (Digraph.arcs g)
-  in
-  match bad with
-  | Some (u, v) -> Error (Not_conflicting (u, v))
-  | None -> if Digraph.has_cycle g then Error Cyclic else Ok g
-
-let of_arcs c arcs = validate c (Digraph.create (Conflict.size c) arcs)
-
-let of_arcs_exn c arcs =
-  match of_arcs c arcs with
-  | Ok p -> p
-  | Error e -> invalid_arg (error_to_string e)
-
-let of_tuple_pairs c pairs =
-  of_arcs c
-    (List.map
-       (fun (x, y) -> (Conflict.index_exn c x, Conflict.index_exn c y))
-       pairs)
-
-let arcs = Digraph.arcs
-let arc_count = Digraph.arc_count
-let dominates p x y = Digraph.mem_arc p x y
-let dominators p y = Digraph.pred p y
-let dominated p x = Digraph.succ p x
-
-let oriented p u v = dominates p u v || dominates p v u
-
-let unoriented c p =
-  List.filter (fun (u, v) -> not (oriented p u v))
-    (Undirected.edges (Conflict.graph c))
-
-let is_total c p = unoriented c p = []
-
-let extend c p new_arcs =
-  of_arcs c (new_arcs @ Digraph.arcs p)
+  let size = Conflict.size
+  let conflicting c u v = Undirected.mem_edge (Conflict.graph c) u v
+  let pairs c = Undirected.edges (Conflict.graph c)
+  let index_exn = Conflict.index_exn
+end)
 
 let is_extension_of p q =
   let arcs_p = Digraph.arcs p in
@@ -63,23 +20,6 @@ let one_step_extensions c p =
         (fun arc -> match extend c p [ arc ] with Ok p' -> Some p' | Error _ -> None)
         [ (u, v); (v, u) ])
     (unoriented c p)
-
-let totalize c p =
-  let order =
-    match Digraph.topological_order p with
-    | Some order -> order
-    | None -> assert false (* valid priorities are acyclic *)
-  in
-  let rank = Array.make (Conflict.size c) 0 in
-  List.iteri (fun i v -> rank.(v) <- i) order;
-  let new_arcs =
-    List.map
-      (fun (u, v) -> if rank.(u) < rank.(v) then (u, v) else (v, u))
-      (unoriented c p)
-  in
-  match extend c p new_arcs with
-  | Ok p' -> p'
-  | Error _ -> assert false (* arcs follow a linear order: acyclic *)
 
 let update c p ~dropped ~oriented =
   Obs.Span.with_span "priority.update"
@@ -103,15 +43,3 @@ let update c p ~dropped ~oriented =
         (Digraph.arcs p)
     in
     of_arcs c (oriented @ kept)
-
-let winnow p s =
-  Vset.filter (fun v -> Vset.is_empty (Vset.inter (dominators p v) s)) s
-
-let restrict p s = Digraph.restrict p s
-
-let pp ppf p =
-  Format.fprintf ppf "@[{%a}@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (u, v) -> Format.fprintf ppf "t%d > t%d" u v))
-    (Digraph.arcs p)

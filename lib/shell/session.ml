@@ -168,22 +168,8 @@ let cmd_info st =
 
 let cmd_repairs st limit =
   with_context st (fun _spec c p ->
-      let repairs = Family.repairs st.family c p in
-      buffer_out (fun ppf ->
-          Format.fprintf ppf "%s: %d preferred repair(s)@."
-            (Family.name_to_string st.family)
-            (List.length repairs);
-          List.iteri
-            (fun i s ->
-              if i < limit then begin
-                Format.fprintf ppf "--- repair %d ---@." (i + 1);
-                Relation.iter
-                  (fun t -> Format.fprintf ppf "  %a@." Tuple.pp t)
-                  (Core.Repair.to_relation c s)
-              end)
-            repairs;
-          if List.length repairs > limit then
-            Format.fprintf ppf "... (%d more)" (List.length repairs - limit)))
+      buffer_out
+        (Core.Decompose.pp_repairs st.family (decompose_of st c p) ~limit))
 
 let cmd_count st =
   with_context st (fun _spec c p ->
@@ -596,22 +582,7 @@ let cmd_hyper_count st fam =
 
 let cmd_hyper_repairs st fam limit =
   with_hyper st (fun _spec h p ->
-      let repairs = Core.Hfamily.repairs fam h p in
-      buffer_out (fun ppf ->
-          Format.fprintf ppf "%s: %d preferred repair(s)@."
-            (Core.Hfamily.name_to_string fam)
-            (List.length repairs);
-          List.iteri
-            (fun i s ->
-              if i < limit then begin
-                Format.fprintf ppf "--- repair %d ---@." (i + 1);
-                Relation.iter
-                  (fun t -> Format.fprintf ppf "  %a@." Tuple.pp t)
-                  (Core.Hyper.to_relation h s)
-              end)
-            repairs;
-          if List.length repairs > limit then
-            Format.fprintf ppf "... (%d more)" (List.length repairs - limit)))
+      buffer_out (Core.Hdecompose.pp_repairs fam (Core.Hdecompose.make h p) ~limit))
 
 let cmd_hyper_query st fam text =
   with_hyper st (fun _spec h p ->

@@ -254,6 +254,54 @@ let ground_query rng rel =
     (Relational.Schema.name (Relation.schema rel),
      List.map (fun v -> Query.Ast.Const v) vals)
 
+(* A copy of a live tuple with its last column moved out of the
+   generators' value range: same key, new payload, so it conflicts with
+   its group. *)
+let perturbed rel rng offset =
+  let ids = Vset.elements (Relation.live_ids rel) in
+  let t = Relation.fact rel (List.nth ids (Prng.int rng (List.length ids))) in
+  let last = List.length (Tuple.values t) - 1 in
+  Tuple.make
+    (List.mapi
+       (fun i v ->
+         match v with
+         | Value.Int k when i = last -> Value.Int (k + offset)
+         | v -> v)
+       (Tuple.values t))
+
+(* The binary and hyper instances of the sharded engine do the same work
+   on FD conflicts: equal counts, verdicts and counters, field by field,
+   after count + certainty and again after one random batch and its undo
+   pushed through [Delta] and [Hdelta]. *)
+let same_engine_work rng rel fds q =
+  let bin = Result.get_ok (Core.Delta.create fds rel) in
+  let hyp =
+    Result.get_ok (Hdelta.create (Hyper.denials (Hyper.of_fds fds rel)) rel)
+  in
+  let same () =
+    let d = Core.Delta.decompose bin and hd = Hdelta.decompose hyp in
+    Core.Decompose.count Core.Family.Rep d = Hdecompose.count Hfamily.Rep hd
+    && Core.Decompose.certainty Core.Family.Rep d q
+       = Hdecompose.certainty Hfamily.Rep hd q
+    && Core.Decompose.counters d = Hdecompose.counters hd
+  in
+  let both_accept a b =
+    match (a, b) with Ok _, Ok _ | Error _, Error _ -> true | _ -> false
+  in
+  let ops =
+    List.filter_map
+      (fun id ->
+        if Prng.int rng 3 = 0 then Some (Hdelta.Delete (Relation.fact rel id))
+        else None)
+      (Vset.elements (Relation.live_ids rel))
+    @ [ Hdelta.Insert (perturbed rel rng 100); Hdelta.Insert (perturbed rel rng 200) ]
+  in
+  same ()
+  && both_accept (Core.Delta.apply bin ops) (Hdelta.apply hyp ops)
+  && same ()
+  && both_accept (Core.Delta.undo bin) (Hdelta.undo hyp)
+  && same ()
+
 let of_fds_certainty_matches_binary =
   prop ~count:40 "hyper ground certainty = binary ground certainty" fd_gen
     fd_print (fun c ->
@@ -262,9 +310,15 @@ let of_fds_certainty_matches_binary =
       let h = Hyper.of_fds fds rel in
       let cg = Core.Conflict.build fds rel in
       let d = Core.Decompose.make cg (Core.Priority.empty cg) in
+      let hd = Hdecompose.make h (Hpriority.empty h) in
       let q = ground_query rng rel in
-      Result.get_ok (Hyper.ground_certainty h q)
-      = Core.Decompose.certainty Core.Family.Rep d q)
+      let n = Core.Decompose.count Core.Family.Rep d in
+      let v = Core.Decompose.certainty Core.Family.Rep d q in
+      Result.get_ok (Hyper.ground_certainty h q) = v
+      && Hdecompose.count Hfamily.Rep hd = n
+      && Hdecompose.certainty Hfamily.Rep hd q = v
+      && Core.Decompose.counters d = Hdecompose.counters hd
+      && same_engine_work rng rel fds q)
 
 (* --- Hdecompose vs monolithic Hfamily -------------------------------------- *)
 

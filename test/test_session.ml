@@ -67,6 +67,38 @@ let test_repairs_and_count () =
   Alcotest.(check bool) "count agrees" true
     (contains ~needle:"2 preferred repair(s)" out)
 
+(* [repairs N] streams N repairs of the engine's decomposition and takes
+   the total from the product count: 2^40 repairs never materialize. *)
+let test_repairs_limit_streams () =
+  let rel, fds = Workload.Generator.ladder 40 in
+  let spec =
+    {
+      Dbio.Instance_format.relation = rel;
+      fds;
+      denials = [];
+      provenance = Relational.Provenance.empty;
+      prefs = [];
+    }
+  in
+  let engine = Result.get_ok (Core.Delta.create fds rel) in
+  let st = Session.of_spec ~engine spec in
+  let streamed () =
+    (Core.Decompose.counters (Core.Delta.decompose engine)).combos_streamed
+  in
+  let before = streamed () in
+  let _, out = Session.exec st "repairs 3" in
+  let lines = String.split_on_char '\n' out in
+  let headers =
+    List.filter (fun l -> contains ~needle:"--- repair " l) lines
+  in
+  check Alcotest.int "three repairs listed" 3 (List.length headers);
+  check Alcotest.string "total line" "C-Rep: 1099511627776 preferred repair(s)"
+    (List.hd lines);
+  check Alcotest.string "remainder line" "... (1099511627773 more)"
+    (List.nth lines (List.length lines - 1));
+  Alcotest.(check bool) "at most 3 combinations streamed" true
+    (streamed () - before <= 3)
+
 let test_query_commands () =
   let st = load () in
   let _, out =
@@ -284,6 +316,7 @@ let suite =
     ("load and info", `Quick, test_load_and_info);
     ("family switching", `Quick, test_family_switch);
     ("repairs and count", `Quick, test_repairs_and_count);
+    ("repairs N streams N of 2^40", `Quick, test_repairs_limit_streams);
     ("query command", `Quick, test_query_commands);
     ("qtrace command", `Quick, test_qtrace);
     ("explain and status", `Quick, test_explain_and_status);
