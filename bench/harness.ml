@@ -15,12 +15,8 @@ let quick = ref false
 
 (* Median seconds per run; each sample runs [f] enough times to dominate
    timer noise. *)
-let measure ?min_time ?samples f =
-  let min_time =
-    match min_time with
-    | Some t -> t
-    | None -> if !quick then 0.0005 else 0.02
-  in
+let measure ?samples f =
+  let min_time = if !quick then 0.0005 else 0.02 in
   let samples =
     match samples with Some s -> s | None -> if !quick then 3 else 5
   in
@@ -138,29 +134,6 @@ let time_cell t = Format.asprintf "%a" pp_time t
 
 (* --- telemetry integration ----------------------------------------------- *)
 
-(* JSON string literal (with quotes). Not OCaml's [%S]: that escapes
-   non-ASCII bytes as decimal [\226]-style sequences, which JSON
-   rejects — an em-dash in a note would corrupt the whole file. JSON
-   wants UTF-8 passed through raw, with only the quote, backslash and
-   control characters escaped. *)
-let json_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* Per-span wall-clock breakdown of ONE run of [f] under a private
    in-memory sink: (span name, inclusive seconds, outermost occurrence
    count), decreasing time. The previous sink (if any) is restored
@@ -178,21 +151,56 @@ let phase_breakdown f =
     raise e);
   Obs.Profile.flat (Obs.Profile.tree (Obs.Sink.Memory.events buf))
 
-let phases_field = function
-  | [] -> ""
-  | ps ->
-    let one (name, seconds, count) =
-      Printf.sprintf "{\"name\": %s, \"seconds\": %.9f, \"count\": %d}"
-        (json_str name) seconds count
-    in
-    Printf.sprintf ", \"phases\": [%s]" (String.concat ", " (List.map one ps))
+(* --- machine-readable output -------------------------------------------- *)
+
+(* One row of a BENCH_*.json file, whatever the section. [median] is the
+   live side; a [baseline] (label, median) — the seed kernel, the
+   evaluator, the full rebuild, the 1-domain run — adds a
+   "<label>_median_s" column and the derived "speedup" = baseline /
+   median. [phases] is the per-span breakdown of one run (from
+   {!phase_breakdown}); [fields] are further typed columns (sizes, sink
+   medians, overhead ratios). [domains] is the pool width the row was
+   measured at. *)
+type row = {
+  name : string;
+  median : float;
+  baseline : (string * float) option;
+  phases : (string * float * int) list;
+  note : string;
+  fields : (string * Obs.Json.t) list;
+  domains : int;
+}
+
+type file = { path : string; experiment : string; mutable rows : row list }
+
+let files : file list ref = ref []
+
+(* A BENCH file that sections record rows against; [write_all] writes
+   every declared file that received rows, i.e. whose section ran. *)
+let file ~experiment path =
+  let f = { path; experiment; rows = [] } in
+  files := f :: !files;
+  f
+
+(* [domains] defaults to the pool width active when the row is recorded;
+   the PAR section sweeps the width and passes it explicitly. *)
+let record file ~name ?baseline ?(phases = []) ?(fields = []) ?domains ~note
+    median =
+  let domains = match domains with Some d -> d | None -> Core.Pool.jobs () in
+  file.rows <-
+    { name; median; baseline; phases; note; fields; domains } :: file.rows
+
+(* Seconds to the nanosecond and ratios to three places, so the
+   committed files diff readably; a non-finite value is JSON null. *)
+let seconds s = Obs.Json.Float (Float.round (s *. 1e9) /. 1e9)
+let ratio x = Obs.Json.Float (Float.round (x *. 1000.) /. 1000.)
 
 (* Medians recorded in the committed copy of [path] before this run
    overwrites it, keyed by row name — so every row carries its own
    before/after pair and a regression is visible in the diff of a single
    file. Missing/unparseable files (first run, format changes) degrade
    to no [previous_median_s] fields, not an error. *)
-let previous_medians path field =
+let previous_medians path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error _ -> []
   | text -> (
@@ -205,354 +213,118 @@ let previous_medians path field =
           (fun row ->
             match
               ( Obs.Json.member "name" row,
-                Option.bind (Obs.Json.member field row) Obs.Json.to_float_opt
-              )
+                Option.bind (Obs.Json.member "median_s" row)
+                  Obs.Json.to_float_opt )
             with
             | Some (Obs.Json.Str n), Some v -> Some (n, v)
             | _ -> None)
           rows
       | _ -> []))
 
-let previous_field prev name =
-  match List.assoc_opt name prev with
-  | Some v -> Printf.sprintf ", \"previous_median_s\": %.9f" v
-  | None -> ""
-
-(* --- machine-readable output -------------------------------------------- *)
-
 (* Host/runtime provenance appended to EVERY benchmark row: a scaling or
    speedup claim is meaningless without the core count and domain count
    it was measured under, and a single-core CI box must be legible as
-   such in the committed JSON. [domains] defaults to the pool width
-   active when the row is written; the PAR section passes each row's
-   width explicitly since it sweeps the pool size mid-run. *)
-let env_fields ?domains () =
-  let domains =
-    match domains with Some d -> d | None -> Core.Pool.jobs ()
-  in
-  (* estimate quality rides along with every row: the planner's q-error
-     histogram summarizes |log2(est/actual)| over every plan operator
-     executed so far in this process, so BENCH_plan.json (and any other
-     section that ran planned queries) tracks misestimates over time,
-     not just wall time. Empty until a planned query ran. *)
+   such in the committed JSON. Estimate quality rides along too: the
+   planner's q-error histogram summarizes |log2(est/actual)| over every
+   plan operator executed so far in this process, so BENCH_plan.json
+   (and any other section that ran planned queries) tracks misestimates
+   over time, not just wall time. Empty until a planned query ran. *)
+let env_fields ~domains =
   let qerror =
     match Planner.Metrics.qerror_summary () with
-    | None -> ""
+    | None -> []
     | Some (median, max, count) ->
-      Printf.sprintf
-        ", \"qerror_median_log2\": %.3f, \"qerror_max_log2\": %.3f, \
-         \"qerror_operators\": %d"
-        median max count
+      [
+        ("qerror_median_log2", ratio median);
+        ("qerror_max_log2", ratio max);
+        ("qerror_operators", Obs.Json.Int count);
+      ]
   in
-  Printf.sprintf ", \"host_cores\": %d, \"domains\": %d, \"ocaml\": %s%s"
-    (Domain.recommended_domain_count ())
-    domains
-    (json_str Sys.ocaml_version)
-    qerror
+  [
+    ("host_cores", Obs.Json.Int (Domain.recommended_domain_count ()));
+    ("domains", Obs.Json.Int domains);
+    ("ocaml", Obs.Json.Str Sys.ocaml_version);
+  ]
+  @ qerror
 
-(* Before/after records accumulated by the VSET section and dumped as
-   BENCH_vset.json, so the perf trajectory across PRs is diffable. *)
-let comparisons : (string * float * float) list ref = ref []
-
-let record_comparison ~name ~baseline ~bitset =
-  comparisons := (name, baseline, bitset) :: !comparisons
-
-let write_comparisons_json path =
-  let prev = previous_medians path "bitset_median_s" in
-  let oc = open_out path in
-  let entry (name, baseline, bitset) =
-    Printf.sprintf
-      "    {\"name\": %s, \"baseline_median_s\": %.9f, \
-       \"bitset_median_s\": %.9f, \"speedup\": %.2f%s%s}"
-      (json_str name) baseline bitset (baseline /. bitset)
-      (previous_field prev name) (env_fields ())
+let row_json ~previous r =
+  let baseline =
+    match r.baseline with
+    | Some (label, b) ->
+      [ (label ^ "_median_s", seconds b); ("speedup", ratio (b /. r.median)) ]
+    | None -> []
   in
-  Printf.fprintf oc "{\n  \"representation\": \"bitset-vset\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !comparisons)));
-  close_out oc
-
-(* Boxed-seed vs interned-substrate records for BENCH_intern.json: each
-   entry times the same kernel over the seed identity layer (boxed
-   values, comparison-ordered tuple maps; [Baseline_intern]) and over
-   the interned fact-id substrate, on the same instance. *)
-let intern_entries : (string * float * float * string) list ref = ref []
-
-let record_intern ~name ~baseline ~interned ~note =
-  intern_entries := (name, baseline, interned, note) :: !intern_entries
-
-let write_intern_json path =
-  let prev = previous_medians path "interned_median_s" in
-  let oc = open_out path in
-  let entry (name, baseline, interned, note) =
-    Printf.sprintf
-      "    {\"name\": %s, \"baseline_median_s\": %.9f, \
-       \"interned_median_s\": %.9f, \"speedup\": %.2f, \"note\": %s%s%s}"
-      (json_str name) baseline interned (baseline /. interned) (json_str note)
-      (previous_field prev name) (env_fields ())
+  let previous =
+    match List.assoc_opt r.name previous with
+    | Some v -> [ ("previous_median_s", seconds v) ]
+    | None -> []
   in
-  Printf.fprintf oc "{\n  \"experiment\": \"interned-fact-id-substrate\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !intern_entries)));
-  close_out oc
-
-(* Whole-graph vs component-sharded records for BENCH_decompose.json.
-   [whole = None] marks a frontier workload the whole-graph path cannot
-   finish in reasonable time: the sharded number stands alone and the
-   entry carries a note instead of a speedup. [phases] is the per-span
-   time breakdown of one sharded run (from {!phase_breakdown}). *)
-let decompose_entries :
-  (string * float option * float * string * (string * float * int) list)
-  list
-  ref =
-  ref []
-
-let record_decompose ~name ?whole ~sharded ?(note = "") ?(phases = []) () =
-  decompose_entries := (name, whole, sharded, note, phases) :: !decompose_entries
-
-(* Incremental-maintenance vs full-rebuild records for BENCH_delta.json:
-   each entry times the same update-then-answer cycle through the
-   [Core.Delta] engine and through a from-scratch rebuild. *)
-let delta_entries :
-  (string * float * float * string * (string * float * int) list) list ref =
-  ref []
-
-let record_delta ~name ~full ~incremental ~note ?(phases = []) () =
-  delta_entries := (name, full, incremental, note, phases) :: !delta_entries
-
-let write_delta_json path =
-  let prev = previous_medians path "incremental_median_s" in
-  let oc = open_out path in
-  let entry (name, full, incremental, note, phases) =
-    Printf.sprintf
-      "    {\"name\": %s, \"full_rebuild_median_s\": %.9f, \
-       \"incremental_median_s\": %.9f, \"speedup\": %.2f, \"note\": %s%s%s%s}"
-      (json_str name) full incremental (full /. incremental) (json_str note)
-      (previous_field prev name) (phases_field phases) (env_fields ())
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"incremental-delta-maintenance\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !delta_entries)));
-  close_out oc
-
-let write_decompose_json path =
-  let prev = previous_medians path "sharded_median_s" in
-  let oc = open_out path in
-  let entry (name, whole, sharded, note, phases) =
-    let whole_field, speedup_field =
-      match whole with
-      | Some w ->
-        ( Printf.sprintf "%.9f" w,
-          Printf.sprintf "%.2f" (w /. sharded) )
-      | None -> ("null", "null")
+  let phases =
+    let one (name, s, count) =
+      Obs.Json.Obj
+        [ ("name", Obs.Json.Str name); ("seconds", seconds s);
+          ("count", Obs.Json.Int count) ]
     in
-    Printf.sprintf
-      "    {\"name\": %s, \"whole_graph_median_s\": %s, \
-       \"sharded_median_s\": %.9f, \"speedup\": %s, \"note\": %s%s%s%s}"
-      (json_str name) whole_field sharded speedup_field (json_str note)
-      (previous_field prev name) (phases_field phases) (env_fields ())
+    if r.phases = [] then []
+    else [ ("phases", Obs.Json.List (List.map one r.phases)) ]
   in
-  Printf.fprintf oc "{\n  \"experiment\": \"component-sharded-cqa\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !decompose_entries)));
-  close_out oc
+  Obs.Json.Obj
+    ([ ("name", Obs.Json.Str r.name); ("median_s", seconds r.median) ]
+    @ baseline @ r.fields
+    @ [ ("note", Obs.Json.Str r.note) ]
+    @ previous @ phases
+    @ env_fields ~domains:r.domains)
 
-(* Span-engine overhead for BENCH_obs.json: the same workload timed with
-   telemetry disabled (the shipping default), with the null sink (engine
-   cost alone) and with an in-memory sink (full recording cost). The
-   acceptance bar lives on the DISABLED column: it must track the
-   pre-instrumentation medians of the other BENCH files. *)
-let obs_entries : (string * float * float * float * string) list ref = ref []
-
-let record_obs ~name ~disabled ~null_sink ~memory_sink ~note =
-  obs_entries := (name, disabled, null_sink, memory_sink, note) :: !obs_entries
-
-(* Metrics-registry overhead rows, also in BENCH_obs.json: the same
-   serve-path workload with Obs.Metric recording on (the shipping
-   default) and off. The acceptance bar is the [metrics_overhead]
-   ratio: on/off must stay <= 1.03. *)
-let metrics_entries : (string * float * float * string) list ref = ref []
-
-let record_metrics ~name ~off ~on ~note =
-  metrics_entries := (name, off, on, note) :: !metrics_entries
-
-let write_obs_json path =
-  let prev = previous_medians path "disabled_median_s" in
-  let prev_m = previous_medians path "metrics_on_median_s" in
-  let oc = open_out path in
-  let entry (name, disabled, null_sink, memory_sink, note) =
-    Printf.sprintf
-      "    {\"name\": %s, \"disabled_median_s\": %.9f, \
-       \"null_sink_median_s\": %.9f, \"memory_sink_median_s\": %.9f, \
-       \"null_overhead\": %.3f, \"memory_overhead\": %.3f, \"note\": %s%s%s}"
-      (json_str name) disabled null_sink memory_sink
-      (null_sink /. disabled)
-      (memory_sink /. disabled)
-      (json_str note) (previous_field prev name) (env_fields ())
+(* The harness's own check on what it wrote: the file parses, and every
+   row has a string name and a finite median. *)
+let validate path =
+  let ok_row row =
+    match
+      ( Obs.Json.member "name" row,
+        Option.bind (Obs.Json.member "median_s" row) Obs.Json.to_float_opt )
+    with
+    | Some (Obs.Json.Str _), Some m -> Float.is_finite m
+    | _ -> false
   in
-  let metrics_entry (name, off, on, note) =
-    Printf.sprintf
-      "    {\"name\": %s, \"metrics_off_median_s\": %.9f, \
-       \"metrics_on_median_s\": %.9f, \"metrics_overhead\": %.3f, \
-       \"note\": %s%s%s}"
-      (json_str name) off on (on /. off) (json_str note)
-      (previous_field prev_m name) (env_fields ())
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"telemetry-overhead\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n"
-       (List.map entry (List.rev !obs_entries)
-       @ List.map metrics_entry (List.rev !metrics_entries)));
-  close_out oc
+  match
+    Obs.Json.of_string (In_channel.with_open_text path In_channel.input_all)
+  with
+  | Error e -> Error ("does not parse: " ^ e)
+  | Ok json -> (
+    match Obs.Json.member "benchmarks" json with
+    | Some (Obs.Json.List rows) -> (
+      match List.find_opt (fun row -> not (ok_row row)) rows with
+      | None -> Ok ()
+      | Some row ->
+        Error
+          ("row without a string name or a finite median_s: "
+          ^ Obs.Json.to_string row))
+    | _ -> Error "no \"benchmarks\" list")
 
-(* Pool-width scaling records for BENCH_parallel.json: the same kernel
-   measured at 1, 2, 4, ... domains. [sequential] is the 1-domain median
-   of the same sweep, so every row carries its own speedup; on a
-   single-core host ([host_cores] = 1 in the row) the curve is expected
-   flat-to-negative and the JSON says so honestly. *)
-let parallel_entries : (string * int * float * float * string) list ref =
-  ref []
-
-let record_parallel ~name ~domains ~median ~sequential ~note =
-  parallel_entries :=
-    (name, domains, median, sequential, note) :: !parallel_entries
-
-let write_parallel_json path =
-  let prev = previous_medians path "median_s" in
-  let oc = open_out path in
-  let entry (name, domains, median, sequential, note) =
-    Printf.sprintf
-      "    {\"name\": %s, \"median_s\": %.9f, \
-       \"sequential_median_s\": %.9f, \"speedup\": %.2f, \"note\": %s%s%s}"
-      (json_str name) median sequential (sequential /. median) (json_str note)
-      (previous_field prev name)
-      (env_fields ~domains ())
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"domain-parallel-cqa\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !parallel_entries)));
-  close_out oc
-
-(* STORE rows: the durable-store section. Each row is one timed
-   operation; a row with a [baseline] (the text-parse median it is
-   measured against) also carries its speedup, and a row with [bytes]
-   records the on-disk size of the artifact involved — a load-speed
-   claim without the file size it was amortized over is not
-   reproducible. Dumped as BENCH_store.json. *)
-let store_entries :
-    (string * float * float option * int option * string) list ref =
-  ref []
-
-let record_store ~name ~median ?baseline ?bytes ~note () =
-  store_entries := (name, median, baseline, bytes, note) :: !store_entries
-
-let write_store_json path =
-  let prev = previous_medians path "median_s" in
-  let oc = open_out path in
-  let entry (name, median, baseline, bytes, note) =
-    let vs_text =
-      match baseline with
-      | Some b ->
-        Printf.sprintf ", \"baseline_s\": %.9f, \"speedup\": %.2f" b
-          (b /. median)
-      | None -> ""
-    in
-    let size_field =
-      match bytes with
-      | Some n -> Printf.sprintf ", \"bytes\": %d" n
-      | None -> ""
-    in
-    Printf.sprintf
-      "    {\"name\": %s, \"median_s\": %.9f%s%s, \"note\": %s%s%s}"
-      (json_str name) median vs_text size_field (json_str note)
-      (previous_field prev name) (env_fields ())
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"binary-store\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !store_entries)));
-  close_out oc
-
-(* PLAN rows: the cost-based planner section. Each row times one query
-   three ways — the compiled physical plan, the active-domain evaluator,
-   and the prior (syntactic-order, conjunctive-only) planner route —
-   whichever of the latter two are feasible on the workload. [phases] is
-   the planner.plan/planner.execute span breakdown of one spanned run.
-   Dumped as BENCH_plan.json. *)
-let plan_entries :
-    (string * float * float option * float option * string
-    * (string * float * int) list)
-    list
-    ref =
-  ref []
-
-let record_plan ~name ~planned ?eval ?prior ~note ?(phases = []) () =
-  plan_entries := (name, planned, eval, prior, note, phases) :: !plan_entries
-
-let write_plan_json path =
-  let prev = previous_medians path "planned_median_s" in
-  let oc = open_out path in
-  let entry (name, planned, eval, prior, note, phases) =
-    let opt field = function
-      | Some v ->
-        Printf.sprintf ", \"%s_median_s\": %.9f, \"speedup_vs_%s\": %.2f"
-          field v field (v /. planned)
-      | None -> ""
-    in
-    Printf.sprintf
-      "    {\"name\": %s, \"planned_median_s\": %.9f%s%s, \"note\": %s%s%s%s}"
-      (json_str name) planned (opt "eval" eval) (opt "prior_plan" prior)
-      (json_str note) (previous_field prev name) (phases_field phases)
-      (env_fields ())
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"cost-based-planner\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !plan_entries)));
-  close_out oc
-
-(* HYPER rows: the denial-constraint hypergraph section. Each row is one
-   timed operation on the hyperedge substrate; a row with a [baseline]
-   (the naive O(n^k) scan or the binary Conflict-path median it is
-   measured against) also carries its speedup, and a row with [edges]
-   records the hyperedge count of the instance involved — the workload
-   scale a timing claim rests on. Dumped as BENCH_hyper.json. *)
-let hyper_entries :
-    (string * float * float option * int option * string) list ref =
-  ref []
-
-let record_hyper ~name ~median ?baseline ?edges ~note () =
-  hyper_entries := (name, median, baseline, edges, note) :: !hyper_entries
-
-let write_hyper_json path =
-  let prev = previous_medians path "median_s" in
-  let oc = open_out path in
-  let entry (name, median, baseline, edges, note) =
-    let vs_base =
-      match baseline with
-      | Some b ->
-        Printf.sprintf ", \"baseline_s\": %.9f, \"speedup\": %.2f" b
-          (b /. median)
-      | None -> ""
-    in
-    let edge_field =
-      match edges with
-      | Some n -> Printf.sprintf ", \"edges\": %d" n
-      | None -> ""
-    in
-    Printf.sprintf
-      "    {\"name\": %s, \"median_s\": %.9f%s%s, \"note\": %s%s%s}"
-      (json_str name) median vs_base edge_field (json_str note)
-      (previous_field prev name) (env_fields ())
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"hypergraph-cqa\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n" !quick;
-  Printf.fprintf oc "  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map entry (List.rev !hyper_entries)));
-  close_out oc
+(* One row per line, so the committed files diff row by row. Exits 1
+   when a written file fails {!validate}. *)
+let write_all () =
+  List.iter
+    (fun f ->
+      if f.rows <> [] then begin
+        let previous = previous_medians f.path in
+        let rows =
+          List.rev_map
+            (fun r -> "    " ^ Obs.Json.to_string (row_json ~previous r))
+            f.rows
+        in
+        Out_channel.with_open_text f.path (fun oc ->
+            Printf.fprintf oc
+              "{\n\
+              \  \"experiment\": %s,\n\
+              \  \"quick\": %b,\n\
+              \  \"benchmarks\": [\n%s\n  ]\n}\n"
+              (Obs.Json.to_string (Obs.Json.Str f.experiment))
+              !quick (String.concat ",\n" rows));
+        match validate f.path with
+        | Ok () -> Format.printf "  %s written.@." f.path
+        | Error e ->
+          Format.eprintf "%s: %s@." f.path e;
+          exit 1
+      end)
+    (List.rev !files)

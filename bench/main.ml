@@ -342,6 +342,9 @@ let factorized () =
    the after side [Decompose.certainty] on the same instance and query.
    Both sides are cross-checked for equality before timing. Written to
    BENCH_decompose.json. *)
+let decomp_out =
+  Harness.file ~experiment:"component-sharded-cqa" "BENCH_decompose.json"
+
 let decomp_bench () =
   Harness.section "DECOMP"
     "component-sharded streaming CQA vs whole-graph enumeration";
@@ -364,7 +367,8 @@ let decomp_bench () =
     let ts = Harness.measure sharded in
     (* one instrumented run of the sharded side, outside the clock *)
     let phases = Harness.phase_breakdown (fun () -> ignore (sharded ())) in
-    Harness.record_decompose ~name ~whole:tw ~sharded:ts ~note ~phases ();
+    Harness.record decomp_out ~name ~baseline:("whole_graph", tw) ~note ~phases
+      ts;
     rows :=
       [ name; Cqa.certainty_to_string vw; Harness.time_cell tw;
         Harness.time_cell ts; Printf.sprintf "x%.1f" (tw /. ts) ]
@@ -454,13 +458,13 @@ let decomp_bench () =
     Harness.phase_breakdown (fun () ->
         ignore (Core.Decompose.certainty Family.Rep df qf))
   in
-  Harness.record_decompose ~name:fname ~sharded:tf
+  Harness.record decomp_out ~name:fname
     ~note:
       (Printf.sprintf
          "frontier: %d components x %d repairs each (~%d^%d total), \
           whole-graph enumeration infeasible"
          fcomps per_component per_component fcomps)
-    ~phases:fphases ();
+    ~phases:fphases tf;
   Harness.note "frontier %s: %s in %s (whole-graph enumeration infeasible)"
     fname
     (Cqa.certainty_to_string vf)
@@ -482,6 +486,9 @@ let decomp_bench () =
    Delta.apply + a warm-cache Decompose query. Verdicts are
    cross-checked for equality before timing. Written to
    BENCH_delta.json. *)
+let delta_out =
+  Harness.file ~experiment:"incremental-delta-maintenance" "BENCH_delta.json"
+
 let delta_bench () =
   Harness.section "DELTA"
     "incremental update engine (Core.Delta) vs full rebuild per update";
@@ -580,7 +587,8 @@ let delta_bench () =
       ignore (incr eng ());
       Harness.phase_breakdown (fun () -> ignore (incr eng ()))
     in
-    Harness.record_delta ~name ~full:tf ~incremental:ti ~note ~phases ();
+    Harness.record delta_out ~name ~baseline:("full_rebuild", tf) ~note ~phases
+      ti;
     rows :=
       [ name; Harness.time_cell tf; Harness.time_cell ti;
         Printf.sprintf "x%.1f" (tf /. ti) ]
@@ -625,6 +633,8 @@ let delta_bench () =
    bookkeeping alone, events discarded) and in-memory sink (full
    recording). Written to BENCH_obs.json; the disabled column carries a
    [previous_median_s] across runs so regressions show in the diff. *)
+let obs_out = Harness.file ~experiment:"telemetry-overhead" "BENCH_obs.json"
+
 let obs_bench () =
   Harness.section "OBS"
     "telemetry overhead: disabled vs null sink vs memory sink";
@@ -648,7 +658,15 @@ let obs_bench () =
           Obs.Sink.Memory.clear buf;
           f ())
     in
-    Harness.record_obs ~name ~disabled ~null_sink ~memory_sink ~note;
+    Harness.record obs_out ~name ~note
+      ~fields:
+        [
+          ("null_sink_median_s", Harness.seconds null_sink);
+          ("memory_sink_median_s", Harness.seconds memory_sink);
+          ("null_overhead", Harness.ratio (null_sink /. disabled));
+          ("memory_overhead", Harness.ratio (memory_sink /. disabled));
+        ]
+      disabled;
     rows :=
       [ name; Harness.time_cell disabled; Harness.time_cell null_sink;
         Harness.time_cell memory_sink;
@@ -779,11 +797,17 @@ let obs_bench () =
   let best xs = List.fold_left Float.min infinity xs in
   let off = best !offs and on = best !ons in
   let name = Printf.sprintf "session-exec-mix/names-%d" (3 * sz 32 8) in
-  Harness.record_metrics ~name ~off ~on
+  Harness.record obs_out ~name
+    ~fields:
+      [
+        ("metrics_off_median_s", Harness.seconds off);
+        ("metrics_overhead", Harness.ratio (on /. off));
+      ]
     ~note:
       "query + plan + insert + undo per run through Session.exec (the \
        serve loop's per-request path, no socket); metrics recording on \
-       vs off";
+       vs off"
+    on;
   Harness.table
     ~header:[ "workload"; "metrics off"; "metrics on"; "overhead" ]
     [
@@ -803,6 +827,9 @@ let obs_bench () =
    and the committed JSON must be legible as such rather than fake a
    win. Results are cross-checked against the 1-domain run before any
    timing. Written to BENCH_parallel.json. *)
+let par_out =
+  Harness.file ~experiment:"domain-parallel-cqa" "BENCH_parallel.json"
+
 let par_bench () =
   Harness.section "PAR"
     "domain-parallel CQA: work-stealing pool scaling at 1/2/4/8 domains";
@@ -825,9 +852,9 @@ let par_bench () =
                name k);
         let t = Harness.measure (fun () -> ignore (f ())) in
         if k = 1 then sequential := t;
-        Harness.record_parallel
+        Harness.record par_out
           ~name:(Printf.sprintf "%s/j%d" name k)
-          ~domains:k ~median:t ~sequential:!sequential ~note;
+          ~domains:k ~baseline:("sequential", !sequential) ~note t;
         rows :=
           [ name; string_of_int k; Harness.time_cell t;
             Printf.sprintf "x%.2f" (!sequential /. t) ]
@@ -1163,6 +1190,8 @@ let ext_hyper () =
    3. scale: the clustered million-fact scenario (20k under --quick):
       build, decompose and ground certainty, with the unflagged
       consistent tail kept out of every join by the flag-gate probe. *)
+let hyper_out = Harness.file ~experiment:"hypergraph-cqa" "BENCH_hyper.json"
+
 let hyper_bench () =
   Harness.section "HYPER" "denial constraints on the hypergraph substrate";
   let ground_q h i =
@@ -1227,11 +1256,12 @@ let hyper_bench () =
       [ "postings join"; Harness.time_cell t_join ];
       [ "speedup"; Printf.sprintf "%.0fx" (t_naive /. t_join) ];
     ];
-  Harness.record_hyper
+  Harness.record hyper_out
     ~name:(Printf.sprintf "violations/n=%d" n_scan)
-    ~median:t_join ~baseline:t_naive ~edges:witnesses
+    ~baseline:("naive_scan", t_naive)
+    ~fields:[ ("edges", Obs.Json.Int witnesses) ]
     ~note:"mixed arity-1/2/3 denial set; baseline = seed O(n^k) nested scan"
-    ();
+    t_join;
   (* -- 2. substrate parity: the sharded engine over Conflict vs over Hyper -- *)
   let pfacts = sz 20_000 2_000 and pgroups = sz 512 64 in
   let prel, pfds = Generator.clustered_conflicts ~facts:pfacts ~groups:pgroups ~width:4 in
@@ -1258,14 +1288,18 @@ let hyper_bench () =
       [ "Hyper via of_fds"; Harness.time_cell t_hyper ];
       [ "ratio (Conflict/Hyper)"; Printf.sprintf "%.2fx" (t_conflict /. t_hyper) ];
     ];
-  Harness.record_hyper
+  Harness.record hyper_out
     ~name:(Printf.sprintf "fd-parity/n=%d" pfacts)
-    ~median:t_hyper ~baseline:t_conflict
-    ~edges:(Hypergraph.edge_count (Core.Hyper.hypergraph h0))
+    ~baseline:("conflict", t_conflict)
+    ~fields:
+      [
+        ( "edges",
+          Obs.Json.Int (Hypergraph.edge_count (Core.Hyper.hypergraph h0)) );
+      ]
     ~note:
       "pure-FD workload, end-to-end build+decompose+ground CQA on one \
        engine; baseline = the Conflict substrate"
-    ();
+    t_hyper;
   (* -- 3. scale: the clustered (million-fact) scenario -- *)
   let sfacts = sz 1_000_000 20_000 and sgroups = sz 2048 256 in
   let srel, sdenials =
@@ -1303,23 +1337,21 @@ let hyper_bench () =
   Harness.note
     "the unflagged tail never enters a violation join: the constant F=1 \
      probe gates every multi-tuple denial";
-  Harness.record_hyper
+  let fields = [ ("edges", Obs.Json.Int edges) ] in
+  Harness.record hyper_out
     ~name:(Printf.sprintf "build/n=%d" sfacts)
-    ~median:t_build ~edges
-    ~note:"clustered mixed-arity build; flag-gated postings probes" ();
-  Harness.record_hyper
+    ~fields ~note:"clustered mixed-arity build; flag-gated postings probes"
+    t_build;
+  Harness.record hyper_out
     ~name:(Printf.sprintf "decompose/n=%d" sfacts)
-    ~median:t_dec ~edges
+    ~fields
     ~note:
       (Printf.sprintf "%d components; tail lands in the free set"
          (Core.Hdecompose.component_count hd))
-    ();
-  Harness.record_hyper
+    t_dec;
+  Harness.record hyper_out
     ~name:(Printf.sprintf "certainty/n=%d" sfacts)
-    ~median:t_cqa ~edges
-    ~note:"ground tail fact, Rep family, after decomposition" ()
-
-(* --- VSET: bitset representation vs the tree-backed seed ---------------------------- *)
+    ~fields ~note:"ground tail fact, Rep family, after decomposition" t_cqa
 
 (* --- STORE: the durable store's snapshot and log --------------------------------- *)
 
@@ -1331,6 +1363,8 @@ let hyper_bench () =
    per-mutation durability cost the serve loop pays before every ack.
    Both sides of the load comparison are cross-checked for equality
    before any timing. Written to BENCH_store.json. *)
+let store_out = Harness.file ~experiment:"binary-store" "BENCH_store.json"
+
 let store_bench () =
   Harness.section "STORE"
     "durable store: binary snapshot load vs text parse, WAL append/replay";
@@ -1368,16 +1402,18 @@ let store_bench () =
           Result.is_ok (Dbio.Snapshot.load snap_path))
     in
     let snap_bytes = (Unix.stat snap_path).Unix.st_size in
-    Harness.record_store
+    Harness.record store_out
       ~name:(Printf.sprintf "parse-text/%s" shape)
-      ~median:parse_t ~bytes:text_bytes
-      ~note:"cold-start; read + tokenize + re-intern every occurrence" ();
-    Harness.record_store
+      ~fields:[ ("bytes", Obs.Json.Int text_bytes) ]
+      ~note:"cold-start; read + tokenize + re-intern every occurrence" parse_t;
+    Harness.record store_out
       ~name:(Printf.sprintf "load-snapshot/%s" shape)
-      ~median:load_t ~baseline:parse_t ~bytes:snap_bytes
+      ~baseline:("parse_text", parse_t)
+      ~fields:[ ("bytes", Obs.Json.Int snap_bytes) ]
       ~note:
         "cold-start; read + CRC + dense varint decode in fact-id order; \
-         one intern probe per distinct name" ();
+         one intern probe per distinct name"
+      load_t;
     Harness.note
       "%s: parse %s (%d bytes) vs snapshot load %s (%d bytes) — x%.1f \
        (acceptance: >=10x on the full-size run)"
@@ -1432,10 +1468,11 @@ let store_bench () =
                 | Ok () -> true
                 | Error e -> failwith e)
           in
-          Harness.record_store ~name:"wal-append-fsync" ~median:append_t
+          Harness.record store_out ~name:"wal-append-fsync"
             ~note:
               "one mutation journaled: single write + fsync before the \
-               ack — the serve loop's per-update durability floor" ();
+               ack — the serve loop's per-update durability floor"
+            append_t;
           Harness.note "wal append+fsync: %s per record"
             (Harness.time_cell append_t)));
   let nrec = sz 5_000 200 in
@@ -1461,10 +1498,10 @@ let store_bench () =
         Harness.measure ~samples:3 (fun () ->
             Result.is_ok (Dbio.Wal.replay wal_file))
       in
-      Harness.record_store
+      Harness.record store_out
         ~name:(Printf.sprintf "wal-replay-%d" nrec)
-        ~median:replay_t ~bytes:wal_bytes
-        ~note:"decode + CRC-check every record of a clean log" ();
+        ~fields:[ ("bytes", Obs.Json.Int wal_bytes) ]
+        ~note:"decode + CRC-check every record of a clean log" replay_t;
       Harness.note "wal replay: %d records in %s (%.0f records/s)" nrec
         (Harness.time_cell replay_t)
         (float_of_int nrec /. replay_t));
@@ -1473,29 +1510,28 @@ let store_bench () =
 (* --- PLAN: the cost-based query planner ------------------------------------------ *)
 
 (* Before/after for the planner: each row times one query through the
-   compiled physical plan ([Planner.Engine]), the active-domain
-   evaluator ([Query.Eval]) and the prior route ([Query.Engine]:
-   syntactic-order conjunctive plans, everything else falling back to
-   the evaluator) — whichever of the latter two are feasible on the
-   workload. The headline rows are the widened fragment — disjunction
-   and bounded universal quantification — which the prior route could
-   not compile at all. Every row cross-checks result equality before
-   timing. Written to BENCH_plan.json. *)
+   compiled physical plan ([Planner.Engine]) and, where it is feasible on
+   the workload, the active-domain evaluator ([Query.Eval]). The headline
+   rows are the widened fragment — disjunction and bounded universal
+   quantification. Every row cross-checks its result before timing.
+   Written to BENCH_plan.json. *)
+let plan_out = Harness.file ~experiment:"cost-based-planner" "BENCH_plan.json"
+
 let plan_bench () =
   Harness.section "PLAN"
     "cost-based planner: join reordering, range scans and the widened fragment";
   let rows = ref [] in
-  let cell = function Some t -> Harness.time_cell t | None -> "-" in
-  let add ~name ?eval ?prior ~planned ~note ~phases () =
-    Harness.record_plan ~name ~planned ?eval ?prior ~note ~phases ();
-    let best = match eval with Some _ -> eval | None -> prior in
+  let add ~name ?eval ~planned ~note ~phases () =
+    let baseline = Option.map (fun t -> ("eval", t)) eval in
+    Harness.record plan_out ~name ?baseline ~note ~phases planned;
     rows :=
-      [
-        name; cell eval; cell prior; Harness.time_cell planned;
-        (match best with
-        | Some t -> Printf.sprintf "x%.1f" (t /. planned)
-        | None -> "-");
-      ]
+      (name
+      ::
+      (match eval with
+      | Some t ->
+        [ Harness.time_cell t; Harness.time_cell planned;
+          Printf.sprintf "x%.1f" (t /. planned) ]
+      | None -> [ "-"; Harness.time_cell planned; "-" ]))
       :: !rows
   in
   let const v = Query.Ast.Const v in
@@ -1514,9 +1550,9 @@ let plan_bench () =
   let shape = Printf.sprintf "chains-%dx%d" comps size in
   let tuples = Relational.Relation.tuple_array rel in
   let vals i = Relational.Tuple.values tuples.(i) in
-  (* disjunction of two doubly-quantified blocks: the prior planner
-     rejects the [or] and pays the evaluator's adom^2 scan; the compiled
-     plan is a boolean or over two index probes *)
+  (* disjunction of two doubly-quantified blocks: the evaluator pays an
+     adom^2 scan; the compiled plan is a boolean or over two index
+     probes *)
   let disj =
     let block i =
       match vals i with
@@ -1532,19 +1568,15 @@ let plan_bench () =
   in
   if not (Planner.Engine.planned ~stats db disj) then
     failwith "PLAN: disjunction must be inside the widened fragment";
-  if Query.Plan.holds db disj <> None then
-    failwith "PLAN: disjunction unexpectedly supported by the prior planner";
   if Query.Eval.holds db disj <> Planner.Engine.holds ~stats db disj then
     failwith "PLAN disjunction: planner diverges from the evaluator";
   add
     ~name:("disjunction-closed/" ^ shape)
     ~eval:(Harness.measure (fun () -> Query.Eval.holds db disj))
-    ~prior:(Harness.measure (fun () -> Query.Engine.holds db disj))
     ~planned:(Harness.measure (fun () -> Planner.Engine.holds ~stats db disj))
     ~note:
-      "closed disjunction of two 2-quantifier blocks: the prior route is \
-       unsupported (falls back to the adom^2 evaluator), the compiled plan \
-       unions two index probes"
+      "closed disjunction of two 2-quantifier blocks: the adom^2 \
+       evaluator vs a compiled plan that unions two index probes"
     ~phases:
       (Harness.phase_breakdown (fun () ->
            ignore (Planner.Engine.holds_spanned ~stats db disj)))
@@ -1571,18 +1603,16 @@ let plan_bench () =
   add
     ~name:("bounded-universal/" ^ shape)
     ~eval:(Harness.measure (fun () -> Query.Eval.holds db univ))
-    ~prior:(Harness.measure (fun () -> Query.Engine.holds db univ))
     ~planned:(Harness.measure (fun () -> Planner.Engine.holds ~stats db univ))
     ~note:
       "forall x. R(a,b,x,d) implies x >= 0: anti-join of two index probes \
-       vs the evaluator's active-domain sweep (the prior route falls back)"
+       vs the evaluator's active-domain sweep"
     ~phases:
       (Harness.phase_breakdown (fun () ->
            ignore (Planner.Engine.holds_spanned ~stats db univ)))
     ();
   (* conjunctive join with the selective const-probed atom written
-     SECOND: the prior planner joins in syntactic order, the cost-based
-     one starts from the cheap side *)
+     SECOND: the cost-based plan starts from the cheap side *)
   let reorder =
     match vals 1 with
     | [ a; b; _; d ] ->
@@ -1602,12 +1632,10 @@ let plan_bench () =
   add
     ~name:("join-reorder/" ^ shape)
     ~eval:(Harness.measure (fun () -> Query.Eval.holds db reorder))
-    ~prior:(Harness.measure (fun () -> Query.Engine.holds db reorder))
     ~planned:(Harness.measure (fun () -> Planner.Engine.holds ~stats db reorder))
     ~note:
-      "two-atom join with the selective probe listed second: the prior \
-       plan joins syntactically, the cost-based plan starts from the \
-       probed side"
+      "two-atom join with the selective probe listed second: the \
+       cost-based plan starts from the probed side"
     ~phases:
       (Harness.phase_breakdown (fun () ->
            ignore (Planner.Engine.holds_spanned ~stats db reorder)))
@@ -1619,8 +1647,8 @@ let plan_bench () =
   let mstats = lookup_of (Planner.Stats.scan relm) in
   let mshape = Printf.sprintf "clustered-%dx%dx%d" facts groups width in
   (* open range query over the top slice of C: a sorted-postings range
-     scan vs the prior plan's full scan + selection (the evaluator's
-     adom-sized sweep is not feasible at this scale and is omitted) *)
+     scan (the evaluator's adom-sized sweep is not feasible at this scale
+     and is omitted) *)
   let range_q =
     Query.Ast.Exists
       ( [ "a"; "b" ],
@@ -1633,26 +1661,34 @@ let plan_bench () =
   in
   if not (Planner.Engine.planned ~stats:mstats dbm range_q) then
     failwith "PLAN: range query must be plannable";
+  (* cross-check against a direct filter of the relation: C >= facts-8,
+     projected on C *)
+  let direct_rows =
+    List.filter_map
+      (fun t ->
+        match Relational.Tuple.values t with
+        | [ _; _; (Relational.Value.Int c as x) ] when c >= facts - 8 ->
+          Some [ x ]
+        | _ -> None)
+      (Relational.Relation.tuples relm)
+  in
+  let as_set = List.sort_uniq (List.compare Relational.Value.compare) in
   let planned_rows = snd (Planner.Engine.answers ~stats:mstats dbm range_q) in
-  (match Query.Plan.answers dbm range_q with
-  | Some (_, prior_rows) when prior_rows = planned_rows -> ()
-  | Some _ -> failwith "PLAN range: planner diverges from the prior plan"
-  | None -> failwith "PLAN: range query must be inside the prior fragment too");
+  if as_set planned_rows <> as_set direct_rows || direct_rows = [] then
+    failwith "PLAN range: planner diverges from a direct filter of relm";
   add
     ~name:("range-scan/" ^ mshape)
-    ~prior:(Harness.measure (fun () -> Query.Engine.answers dbm range_q))
     ~planned:(Harness.measure (fun () -> Planner.Engine.answers ~stats:mstats dbm range_q))
     ~note:
-      "x >= facts-8 over the int column: sorted-postings range scan vs \
-       the prior plan's full scan + selection; evaluator omitted (adom \
-       sweep infeasible at this scale)"
+      "x >= facts-8 over the int column: sorted-postings range scan; \
+       evaluator omitted (adom sweep infeasible at this scale)"
     ~phases:
       (Harness.phase_breakdown (fun () ->
            ignore (Planner.Engine.answers_spanned ~stats:mstats dbm range_q)))
     ();
-  (* open union: two conflict cliques by probe — the prior route would
-     fall back to the evaluator, infeasible here, so the compiled plan
-     stands alone (cross-checked by cardinality: 2 cliques of [width]) *)
+  (* open union: two conflict cliques by probe — the evaluator is
+     infeasible here, so the compiled plan stands alone (cross-checked by
+     cardinality: 2 cliques of [width]) *)
   let union_q =
     let probe g =
       Query.Ast.Atom
@@ -1670,343 +1706,19 @@ let plan_bench () =
     ~name:("union-open/" ^ mshape)
     ~planned:(Harness.measure (fun () -> Planner.Engine.answers ~stats:mstats dbm union_q))
     ~note:
-      "open disjunction answered as a union of two index probes; both \
-       prior routes (syntactic plan, evaluator) are unsupported or \
-       infeasible at this scale"
+      "open disjunction answered as a union of two index probes; the \
+       evaluator is infeasible at this scale"
     ~phases:
       (Harness.phase_breakdown (fun () ->
            ignore (Planner.Engine.answers_spanned ~stats:mstats dbm union_q)))
     ();
   Harness.table
-    ~header:[ "query"; "evaluator"; "prior plan"; "planned"; "speedup" ]
+    ~header:[ "query"; "evaluator"; "planned"; "speedup" ]
     (List.rev !rows);
   Harness.note
-    "speedup = best available baseline / compiled plan; '-' marks routes";
-  Harness.note
-    "that cannot run the query (outside their fragment or infeasible).";
+    "speedup = evaluator / compiled plan; '-' marks an evaluator run that";
+  Harness.note "is infeasible at the workload's scale.";
   Harness.note "Written to BENCH_plan.json."
-
-(* Before/after microbenchmarks for the packed-bitset Vset. The "before"
-   side is [Baseline]: the seed's kernels kept verbatim over
-   [Set.Make (Int)], measured in the same run and on the same instances,
-   so BENCH_vset.json records an honest speedup. Each pair also
-   cross-checks that both sides compute the same result. *)
-let vset_bench () =
-  Harness.section "VSET"
-    "bitset-backed Vset vs the tree-backed (Set.Make(Int)) seed kernels";
-  let rows = ref [] in
-  let bench ~name ~check baseline bitset =
-    if not (check ()) then
-      failwith (Printf.sprintf "VSET %s: baseline and bitset disagree" name);
-    let tb = Harness.measure baseline in
-    let ta = Harness.measure bitset in
-    Harness.record_comparison ~name ~baseline:tb ~bitset:ta;
-    rows :=
-      [ name; Harness.time_cell tb; Harness.time_cell ta;
-        Printf.sprintf "x%.1f" (tb /. ta) ]
-      :: !rows
-  in
-  (* 1. MIS enumeration on the n=16 ladder (2^16 repairs, 32 vertices). *)
-  let lad16, _ = ladder_case 16 in
-  let g16 = Conflict.graph lad16 in
-  let b16 = Baseline.of_undirected g16 in
-  bench ~name:"mis/ladder-n16"
-    ~check:(fun () -> Baseline.mis_count b16 = Graphs.Mis.count g16)
-    (fun () -> Baseline.mis_count b16)
-    (fun () -> Graphs.Mis.count g16);
-  (* 2. MIS enumeration on a clustered instance: k disjoint 4-cliques
-     have 4^k repairs, so the size is kept small enough to enumerate
-     (n=32 tuples -> 65536 repairs). *)
-  let n_clu = sz 32 16 in
-  let cclu, _ = cluster_case n_clu in
-  let gclu = Conflict.graph cclu in
-  let bclu = Baseline.of_undirected gclu in
-  bench ~name:(Printf.sprintf "mis/cluster-n%d" n_clu)
-    ~check:(fun () -> Baseline.mis_count bclu = Graphs.Mis.count gclu)
-    (fun () -> Baseline.mis_count bclu)
-    (fun () -> Graphs.Mis.count gclu);
-  (* 3. G-Rep filtering on the ladder: enumerate 2^n repairs and keep
-     the ≪-maximal ones (pairwise domination tests). *)
-  let n_grep = sz 10 8 in
-  let ladg, _ = ladder_case n_grep in
-  let rng = Prng.create 42 in
-  let pg = Generator.random_priority rng ~density:0.5 ladg in
-  let gg = Conflict.graph ladg in
-  let bg = Baseline.of_undirected gg in
-  let dominates y x = Priority.dominates pg y x in
-  bench ~name:(Printf.sprintf "grep-filter/ladder-n%d" n_grep)
-    ~check:(fun () ->
-      List.length (Baseline.g_rep dominates bg)
-      = List.length (Family.repairs Family.G ladg pg))
-    (fun () -> ignore (Baseline.g_rep dominates bg))
-    (fun () -> ignore (Family.repairs Family.G ladg pg));
-  (* 4. Ground CQA on the 256-tuple cluster instance: the clause kernel
-     (demand satisfiability over the conflict graph) on a demand touching
-     every cluster — one fact required in each even cluster, the whole of
-     each odd cluster forbidden except one escape tuple. *)
-  let c256, _ = cluster_case 256 in
-  let g256 = Conflict.graph c256 in
-  let b256 = Baseline.of_undirected g256 in
-  let required = ref Vset.empty and forbidden = ref Vset.empty in
-  for k = 0 to 31 do
-    required := Vset.add (8 * k) !required;
-    (* odd cluster at 8k+4..8k+7: forbid three, leave 8k+7 as blocker *)
-    for j = 4 to 6 do
-      forbidden := Vset.add ((8 * k) + j) !forbidden
-    done
-  done;
-  let demand =
-    { Core.Ground.required = !required; forbidden = !forbidden }
-  in
-  let req_t = Baseline.of_vset !required
-  and forb_t = Baseline.of_vset !forbidden in
-  bench ~name:"ground-cqa/cluster-n256"
-    ~check:(fun () ->
-      Baseline.demand_satisfiable b256 ~required:req_t ~forbidden:forb_t
-      = Cqa.demand_satisfiable c256 demand)
-    (fun () ->
-      ignore
-        (Baseline.demand_satisfiable b256 ~required:req_t ~forbidden:forb_t))
-    (fun () -> ignore (Cqa.demand_satisfiable c256 demand));
-  Harness.table
-    ~header:[ "kernel"; "tree (seed)"; "bitset"; "speedup" ]
-    (List.rev !rows);
-  Harness.note
-    "tree = the seed's Set.Make(Int) kernels, re-measured in this run;";
-  Harness.note
-    "bitset = the live Vset. Written to BENCH_vset.json."
-
-(* --- INTERN: interned fact-id substrate vs the boxed-value seed --------------------- *)
-
-(* Before/after for this PR's tuple-identity layer. The "before" side is
-   [Baseline_intern]: the seed's boxed values, boxed tuple arrays and
-   comparison-ordered tuple maps, driving the same downstream kernels
-   (the bitset graph constructor, the live [Cqa.demand_satisfiable]) —
-   so the measured difference is the identity layer alone, not PR 1's
-   bitset win. Two kernels per workload:
-
-   - conflict-build: the full conflict-graph construction. Baseline =
-     tuple-map index build + per-FD boxed-key grouping + group index
-     re-projection (the seed pipeline). Interned = [Conflict.build],
-     whose relation owns its hash index and per-column postings (built
-     once per relation — sharing the index with the store IS the
-     refactor, so the interned side is measured in that steady state).
-
-   - ground-route: CQA clause certainty with the clause structures
-     prepared outside the timers on both sides. Each run resolves every
-     clause's facts to vertex ids (boxed map lookups vs interned hash
-     index) and calls the shared demand kernel, with no early exit —
-     the regime of a Certainly_true verdict, where the CNF sweep must
-     exhaust every clause.
-
-   Workloads are the paper's two instance shapes: the running example's
-   key-violated employee table (name-heavy, Figure 2's Mgr scaled up)
-   and the Figure 1 ladder over named keys; an integer-valued cluster
-   instance rides along to show the win without string comparisons.
-   Written to BENCH_intern.json. *)
-
-(* the running example's shape at scale: a name-keyed employee table
-   where every key group of [width] disagrees on the dependent columns *)
-let mgr_clusters ~groups ~width =
-  let schema =
-    Relational.Schema.make "Mgr"
-      [
-        ("Name", Relational.Schema.TName);
-        ("Dept", Relational.Schema.TName);
-        ("Salary", Relational.Schema.TInt);
-        ("Reports", Relational.Schema.TInt);
-      ]
-  in
-  let rows =
-    List.concat
-      (List.init groups (fun g ->
-           List.init width (fun k ->
-               [
-                 Relational.Value.Name (Printf.sprintf "employee-%d" g);
-                 Relational.Value.Name (Printf.sprintf "dept-%d" k);
-                 Relational.Value.Int (10000 * (k + 1));
-                 Relational.Value.Int k;
-               ])))
-  in
-  ( Relational.Relation.of_rows schema rows,
-    [ Constraints.Fd.make [ "Name" ] [ "Dept"; "Salary"; "Reports" ] ] )
-
-(* Figure 1's ladder r_n with named rungs: R('rung-i', 0) / R('rung-i', 1)
-   conflict under A -> B *)
-let name_ladder rungs =
-  let schema =
-    Relational.Schema.make "R"
-      [ ("A", Relational.Schema.TName); ("B", Relational.Schema.TInt) ]
-  in
-  let rows =
-    List.concat
-      (List.init rungs (fun i ->
-           [
-             [
-               Relational.Value.Name (Printf.sprintf "rung-%d" i);
-               Relational.Value.Int 0;
-             ];
-             [
-               Relational.Value.Name (Printf.sprintf "rung-%d" i);
-               Relational.Value.Int 1;
-             ];
-           ]))
-  in
-  ( Relational.Relation.of_rows schema rows,
-    [ Constraints.Fd.make [ "A" ] [ "B" ] ] )
-
-let intern_bench () =
-  Harness.section "INTERN"
-    "interned fact-id substrate vs the boxed-value seed identity layer";
-  let rows = ref [] in
-  (* a single-core VM's scheduling noise swamps 5-sample medians at these
-     sizes, so give each side a longer budget and more samples *)
-  let min_time = if !Harness.quick then None else Some 0.08 in
-  let samples = if !Harness.quick then None else Some 9 in
-  let bench ~name ~note ~check baseline interned =
-    if not (check ()) then
-      failwith (Printf.sprintf "INTERN %s: baseline and interned disagree" name);
-    let tb = Harness.measure ?min_time ?samples baseline in
-    let ta = Harness.measure ?min_time ?samples interned in
-    Harness.record_intern ~name ~baseline:tb ~interned:ta ~note;
-    rows :=
-      [ name; Harness.time_cell tb; Harness.time_cell ta;
-        Printf.sprintf "x%.1f" (tb /. ta) ]
-      :: !rows
-  in
-  let fd_positions rel fds =
-    let schema = Relational.Relation.schema rel in
-    List.map
-      (fun fd ->
-        ( Relational.Schema.positions_exn schema (Constraints.Fd.lhs fd),
-          Relational.Schema.positions_exn schema (Constraints.Fd.rhs fd) ))
-      fds
-  in
-  (* ground clauses off the conflict structure: each clause is a
-     positive conjunctive demand — "are these 32 stride-separated facts
-     jointly in some repair" — the canonical ground-CQA clause shape.
-     The facts come from distinct conflict groups, so the shared demand
-     kernel does a genuine 32-vertex independence check while per-fact
-     vertex resolution stays the dominant per-clause work *)
-  let clauses_of c ~stride =
-    let n = Conflict.size c in
-    let singles = ref [] in
-    let v = ref 0 in
-    while !v < n do
-      if not (Vset.is_empty (Conflict.neighbors c !v)) then
-        singles := Conflict.tuple c !v :: !singles;
-      v := !v + stride
-    done;
-    let rec chunk = function
-      | [] -> []
-      | xs ->
-        let rec take k = function
-          | x :: rest when k > 0 ->
-            let taken, dropped = take (k - 1) rest in
-            (x :: taken, dropped)
-          | rest -> ([], rest)
-        in
-        let req, rest = take 32 xs in
-        (req, []) :: chunk rest
-    in
-    chunk (List.rev !singles)
-  in
-  (* live-side clause resolution, mirroring Ground.of_clause over the
-     interned index *)
-  let live_clause_sat c (required, forbidden) =
-    let rec pos acc = function
-      | [] -> Some acc
-      | t :: rest -> (
-        match Conflict.index c t with
-        | None -> None
-        | Some v -> pos (v :: acc) rest)
-    in
-    match pos [] required with
-    | None -> false
-    | Some req ->
-      let forb = List.filter_map (Conflict.index c) forbidden in
-      Cqa.demand_satisfiable c
-        {
-          Core.Ground.required = Vset.of_list req;
-          forbidden = Vset.of_list forb;
-        }
-  in
-  let baseline_clause_sat c index clause =
-    let breq, bforb = clause in
-    match Baseline_intern.resolve_clause index ~required:breq ~forbidden:bforb with
-    | None -> false
-    | Some d -> Cqa.demand_satisfiable c d
-  in
-  let workload ~shape c rel fds ~stride =
-    let pos = fd_positions rel fds in
-    let boxed = Baseline_intern.box_relation rel in
-    bench
-      ~name:(Printf.sprintf "conflict-build/%s" shape)
-      ~note:
-        "full conflict-graph construction: boxed tuple-map index + per-FD \
-         boxed-key grouping vs the relation-owned interned index"
-      ~check:(fun () ->
-        let b = Baseline_intern.build ~fd_positions:pos boxed in
-        Graphs.Undirected.edge_count b.Baseline_intern.graph
-        = Graphs.Undirected.edge_count (Conflict.graph c)
-        && Graphs.Undirected.size b.Baseline_intern.graph = Conflict.size c)
-      (fun () -> ignore (Baseline_intern.build ~fd_positions:pos boxed))
-      (fun () -> ignore (Conflict.build fds rel));
-    let clauses = clauses_of c ~stride in
-    let boxed_clauses =
-      List.map
-        (fun (req, forb) ->
-          ( List.map Baseline_intern.box_tuple req,
-            List.map Baseline_intern.box_tuple forb ))
-        clauses
-    in
-    let bidx = (Baseline_intern.build ~fd_positions:pos boxed).Baseline_intern.index in
-    let count_live () =
-      List.fold_left
-        (fun acc cl -> if live_clause_sat c cl then acc + 1 else acc)
-        0 clauses
-    in
-    let count_baseline () =
-      List.fold_left
-        (fun acc cl -> if baseline_clause_sat c bidx cl then acc + 1 else acc)
-        0 boxed_clauses
-    in
-    bench
-      ~name:(Printf.sprintf "ground-route/%s/%d-clauses" shape (List.length clauses))
-      ~note:
-        "exhaustive CNF clause sweep: per-fact vertex resolution through the \
-         boxed tuple map vs the interned hash index; demand kernel shared"
-      ~check:(fun () -> count_baseline () = count_live ())
-      count_baseline count_live
-  in
-  (* workload A: the running example's employee table, scaled *)
-  let g_mgr = sz 512 16 in
-  let rel_m, fds_m = mgr_clusters ~groups:g_mgr ~width:4 in
-  let c_mgr = Conflict.build fds_m rel_m in
-  workload
-    ~shape:(Printf.sprintf "mgr-clusters-n%d" (4 * g_mgr))
-    c_mgr rel_m fds_m ~stride:4;
-  (* workload B: the Figure 1 ladder over named rungs *)
-  let rungs = sz 512 32 in
-  let rel_l, fds_l = name_ladder rungs in
-  let c_lad = Conflict.build fds_l rel_l in
-  workload
-    ~shape:(Printf.sprintf "name-ladder-n%d" (2 * rungs))
-    c_lad rel_l fds_l ~stride:2;
-  (* workload C: integer-valued key clusters — the win without strings *)
-  let n_clu = sz 2048 64 in
-  let rel_c, fds_c = Generator.key_clusters ~groups:(n_clu / 4) ~width:4 in
-  let c_clu = Conflict.build fds_c rel_c in
-  workload ~shape:(Printf.sprintf "int-clusters-n%d" n_clu) c_clu rel_c fds_c
-    ~stride:4;
-  Harness.table
-    ~header:[ "kernel"; "boxed (seed)"; "interned"; "speedup" ]
-    (List.rev !rows);
-  Harness.note
-    "boxed = the seed identity layer (variant values, tuple-ordered maps),";
-  Harness.note
-    "re-measured in this run against the same downstream kernels. Written";
-  Harness.note "to BENCH_intern.json."
 
 (* --- Bechamel microbenchmarks ------------------------------------------------------ *)
 
@@ -2055,7 +1767,7 @@ let bechamel_suite () =
     Test.make ~name:"ext/hyper-cqa-n100"
       (stage (fun () -> Result.get_ok (Core.Hyper.ground_certainty h100 qh)));
     (* the query engine ablation: active-domain evaluation vs the
-       algebraic planner on one conjunctive self-join that is false for
+       cost-based planner on one conjunctive self-join that is false for
        data reasons (no two tuples share A and B), so neither engine can
        short-circuit. The evaluator is quartic in the active domain; only
        the planner is usable at n=800. *)
@@ -2068,12 +1780,12 @@ let bechamel_suite () =
      let db = Relational.Database.of_relations [ rel ] in
      let qj = parse "exists a, b, v, w. R(a, b, v) and R(a, b, w) and v < w" in
      Test.make ~name:"engine/conjunctive-planned-n24"
-       (stage (fun () -> Query.Engine.holds db qj)));
+       (stage (fun () -> Planner.Engine.holds db qj)));
     (let rel = Conflict.relation c800 in
      let db = Relational.Database.of_relations [ rel ] in
      let qj = parse "exists a, b, v, w. R(a, b, v) and R(a, b, w) and v < w" in
      Test.make ~name:"engine/conjunctive-planned-n800"
-       (stage (fun () -> Query.Engine.holds db qj)));
+       (stage (fun () -> Planner.Engine.holds db qj)));
     Test.make ~name:"factor/ground-cqa-G-n800"
       (let d = Core.Decompose.make c800 p800 in
        stage (fun () ->
@@ -2148,43 +1860,7 @@ let () =
   if want "PAR" then par_bench ();
   if want "STORE" then store_bench ();
   if want "PLAN" then plan_bench ();
-  if want "VSET" then vset_bench ();
-  if want "INTERN" then intern_bench ();
-  if want "VSET" then begin
-    Harness.write_comparisons_json "BENCH_vset.json";
-    Format.printf "@.  BENCH_vset.json written.@."
-  end;
-  if want "INTERN" then begin
-    Harness.write_intern_json "BENCH_intern.json";
-    Format.printf "  BENCH_intern.json written.@."
-  end;
-  if want "DECOMP" then begin
-    Harness.write_decompose_json "BENCH_decompose.json";
-    Format.printf "  BENCH_decompose.json written.@."
-  end;
-  if want "DELTA" then begin
-    Harness.write_delta_json "BENCH_delta.json";
-    Format.printf "  BENCH_delta.json written.@."
-  end;
-  if want "OBS" then begin
-    Harness.write_obs_json "BENCH_obs.json";
-    Format.printf "  BENCH_obs.json written.@."
-  end;
-  if want "PAR" then begin
-    Harness.write_parallel_json "BENCH_parallel.json";
-    Format.printf "  BENCH_parallel.json written.@."
-  end;
-  if want "STORE" then begin
-    Harness.write_store_json "BENCH_store.json";
-    Format.printf "  BENCH_store.json written.@."
-  end;
-  if want "PLAN" then begin
-    Harness.write_plan_json "BENCH_plan.json";
-    Format.printf "  BENCH_plan.json written.@."
-  end;
-  if want "HYPER" then begin
-    Harness.write_hyper_json "BENCH_hyper.json";
-    Format.printf "  BENCH_hyper.json written.@."
-  end;
+  Format.printf "@.";
+  Harness.write_all ();
   if (not !Harness.quick) && !only = "" then run_bechamel ();
   Format.printf "@.done.@."

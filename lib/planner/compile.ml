@@ -13,11 +13,11 @@ open Query
    anything outside it is rejected with [Unsupported] and the engine
    falls back to {!Query.Eval}, so widening never changes semantics.
 
-   Compared to the legacy {!Query.Plan} (safe existential-conjunctive
-   only, syntactic join order), this planner adds disjunction (union /
-   boolean or), negation and bounded universal quantification
-   (anti-join), range scans for order comparisons on int columns, merge
-   joins over sorted postings, and statistics-driven join ordering. *)
+   Beyond the safe existential-conjunctive core, the fragment covers
+   disjunction (union / boolean or), negation and bounded universal
+   quantification (anti-join); plans use range scans for order
+   comparisons on int columns, merge joins over sorted postings, and
+   statistics-driven join ordering. *)
 
 exception Unsupported of string
 
@@ -294,7 +294,7 @@ type acc = {
   acols : (string, int) Hashtbl.t;  (* variable -> column in [anode] *)
 }
 
-(* Mirror of the legacy planner's comparison lowering: static rewrites
+(* Comparison lowering, in lockstep with [Query.Eval]: static rewrites
    for name-ordering and cross-domain cases, [Block_false] for the
    statically unsatisfiable ones, [None] for vacuous ones. *)
 let lower_cmp acc (op, a, b) =

@@ -2,9 +2,8 @@ open Relational
 open Query
 
 (* The planning query engine: cost-based compiler with evaluator
-   fallback, a drop-in replacement for [Query.Engine] (which keeps the
-   legacy syntactic planner and serves as equivalence oracle). The
-   [holds]/[answers] pair wraps planning and execution in spans for
+   fallback; [Query.Eval] is both the fallback and the equivalence
+   oracle the tests check it against. The [holds]/[answers] pair wraps planning and execution in spans for
    per-phase breakdowns; the [_relation] pair is the per-repair hot
    path and stays span-free. *)
 

@@ -1,9 +1,9 @@
 (** The planning query engine: cost-based compiler with evaluator
     fallback.
 
-    Drop-in replacement for {!Query.Engine}: queries inside the
-    compilable fragment (see {!Compile}) run as physical plans; the rest
-    run through the active-domain evaluator {!Query.Eval}. Both agree on
+    The per-repair query evaluator: queries inside the compilable
+    fragment (see {!Compile}) run as physical plans; the rest run
+    through the active-domain evaluator {!Query.Eval}. Both agree on
     the fragment (cross-checked by the test suite), so callers get one
     semantics and the best available speed.
 

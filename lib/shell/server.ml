@@ -84,6 +84,11 @@ let m_in_flight =
   Obs.Registry.gauge ~help:"Requests currently being handled"
     "prefdb_serve_in_flight_requests"
 
+let m_oversized =
+  Obs.Registry.counter
+    ~help:"Connections closed after a request line exceeded the size cap"
+    "prefdb_serve_oversized_requests_total"
+
 let m_slow_queries =
   Obs.Registry.counter ~help:"Queries captured by the slow-query log"
     "prefdb_serve_slow_queries_total"
@@ -232,11 +237,20 @@ let find_newline buf pos stop =
   in
   go pos
 
+(* The longest request line the server buffers: far above any real
+   command, and it bounds what a client streaming bytes without a
+   newline can make the server hold. *)
+let max_request_bytes = 1 lsl 20
+
 (* One request line, newline-stripped.  [`Line] / [`Eof] (clean close
    at a line boundary) / [`Fail] (timeout or error; any partial line is
-   abandoned with the connection). *)
+   abandoned with the connection) / [`Oversized json] (the line passed
+   [max_request_bytes]; [json] when it opened with '{'). *)
 let read_line conn =
   let acc = Buffer.create 128 in
+  let oversized () =
+    `Oversized (Buffer.length acc > 0 && Buffer.nth acc 0 = '{')
+  in
   let rec go () =
     if conn.rpos >= conn.rlen then refill ()
     else
@@ -244,11 +258,13 @@ let read_line conn =
       | Some i ->
         Buffer.add_subbytes acc conn.rbuf conn.rpos (i - conn.rpos);
         conn.rpos <- i + 1;
-        `Line (Buffer.contents acc)
+        if Buffer.length acc > max_request_bytes then oversized ()
+        else `Line (Buffer.contents acc)
       | None ->
         Buffer.add_subbytes acc conn.rbuf conn.rpos (conn.rlen - conn.rpos);
         conn.rpos <- conn.rlen;
-        refill ()
+        if Buffer.length acc > max_request_bytes then oversized ()
+        else refill ()
   and refill () =
     match Unix.read conn.fd conn.rbuf 0 (Bytes.length conn.rbuf) with
     | 0 ->
@@ -516,6 +532,19 @@ let serve_connection config ~dir store session_ref stop_ref fd =
     match read_line conn with
     | `Eof -> ()
     | `Fail failure -> count_io_failure failure
+    | `Oversized json ->
+      (* the rest of the line is never read: answer and drop the
+         connection *)
+      Obs.Metric.incr m_oversized;
+      let msg =
+        Printf.sprintf "error: request exceeds %d bytes" max_request_bytes
+      in
+      let frame =
+        if json then json_frame ~ok:false msg else text_frame ~ok:false msg
+      in
+      (match write_all fd frame with
+      | Ok () -> ()
+      | Error failure -> count_io_failure failure)
     | `Line raw ->
       let session, r, json =
         handle_request config ~dir store !session_ref raw

@@ -27,7 +27,11 @@
     that connects and goes quiet is dropped rather than blocking every
     other client (including a [shutdown]).  A client that disconnects
     mid-response only kills its own connection; timeouts and broken
-    pipes are counted separately in the serve metrics.  Mutations
+    pipes are counted separately in the serve metrics.  A request line
+    longer than {!max_request_bytes} is answered with an error frame
+    and its connection closed (counted in
+    [prefdb_serve_oversized_requests_total]), so a client streaming
+    bytes without a newline cannot grow the server's memory.  Mutations
     ([insert]/[delete]/[undo]/[prefer]) are journaled to the store's
     write-ahead log — fsynced before the response is sent — so an
     acknowledged change survives [kill -9]; a mutation whose journal
@@ -75,6 +79,9 @@ type config = {
   slow_log : string option;
       (** slow-query log path; default [DIR/slow.jsonl] *)
 }
+
+val max_request_bytes : int
+(** The longest request line the server accepts: 1 MiB. *)
 
 val default_config : unit -> config
 (** 10-second request timeout (or [PREFDB_REQUEST_TIMEOUT] when set

@@ -1,9 +1,8 @@
-(* Tests for the relational algebra and the conjunctive-query planner. *)
+(* Tests for the relational algebra, and planner inputs over the same
+   fixtures checked against the evaluator. *)
 
 open Relational
 module A = Algebra
-module Plan = Query.Plan
-module Engine = Query.Engine
 
 let check = Alcotest.check
 let parse = Query.Parser.parse_exn
@@ -109,58 +108,62 @@ let test_name_order_semantics () =
     (holds "exists b. S(b, 'y') and 'y' <= 'y'");
   (* and the planner routes them to the same answers *)
   let q = parse "exists b, c. S(b, c) and c <= 'y'" in
-  (match (Plan.holds db q, Query.Eval.holds db q) with
-  | Some p, e -> Alcotest.(check bool) "plan = eval on name <=" e p
-  | None, _ -> Alcotest.fail "planner refused a name-order query")
+  Alcotest.(check bool) "planner = eval on name <=" (Query.Eval.holds db q)
+    (Planner.Engine.holds db q);
+  Alcotest.(check bool) "planner compiles name <=" true
+    (Planner.Engine.planned db q)
 
 (* --- planner ----------------------------------------------------------------- *)
 
+(* Planner inputs over the algebra fixtures: [Test_planner.check_agree]
+   checks that each one compiles and that its answer equals the
+   active-domain evaluator's; the expected verdicts are pinned on top. *)
+
 let db () = Database.of_relations [ r (); s () ]
+let agree db = List.iter (Test_planner.check_agree ~planned:true db)
+let holds db q = Planner.Engine.holds db (parse q)
 
 let test_plan_simple () =
-  let q = parse "exists a, b. R(a, b) and b > 10" in
-  Alcotest.(check (option bool)) "holds" (Some true) (Plan.holds (db ()) q);
-  let q2 = parse "exists a. R(a, 99)" in
-  Alcotest.(check (option bool)) "no match" (Some false) (Plan.holds (db ()) q2)
+  let db = db () in
+  agree db [ "exists a, b. R(a, b) and b > 10"; "exists a. R(a, 99)" ];
+  Alcotest.(check bool) "holds" true
+    (holds db "exists a, b. R(a, b) and b > 10");
+  Alcotest.(check bool) "no match" false (holds db "exists a. R(a, 99)")
 
 let test_plan_join_query () =
-  let q = parse "exists a, b, c. R(a, b) and S(b, c) and c = 'y'" in
-  Alcotest.(check (option bool)) "join via planner" (Some true)
-    (Plan.holds (db ()) q);
-  let q2 = parse "exists a, b, c. R(a, b) and S(b, c) and c = 'z'" in
-  Alcotest.(check (option bool)) "S(30,z) unreachable" (Some false)
-    (Plan.holds (db ()) q2)
+  let db = db () in
+  let q = "exists a, b, c. R(a, b) and S(b, c) and c = 'y'" in
+  let q2 = "exists a, b, c. R(a, b) and S(b, c) and c = 'z'" in
+  agree db [ q; q2 ];
+  Alcotest.(check bool) "join via planner" true (holds db q);
+  Alcotest.(check bool) "S(30,z) unreachable" false (holds db q2)
 
 let test_plan_open_query () =
-  match Plan.answers (db ()) (parse "exists b. R(a, b) and S(b, c)") with
-  | None -> Alcotest.fail "expected planner support"
-  | Some (free, rows) ->
-    check Alcotest.(list string) "free" [ "a"; "c" ] free;
-    check Alcotest.int "rows" 3 (List.length rows)
+  let q = "exists b. R(a, b) and S(b, c)" in
+  agree (db ()) [ q ];
+  let free, rows = Planner.Engine.answers (db ()) (parse q) in
+  check Alcotest.(list string) "free" [ "a"; "c" ] free;
+  check Alcotest.int "rows" 3 (List.length rows)
 
 let test_plan_static_simplification () =
   (* cross-domain equality and name ordering decide statically *)
-  let q = parse "exists a, b. R(a, b) and a = 'nope'" in
-  Alcotest.(check (option bool)) "cross-type constant" (Some false)
-    (Plan.holds (db ()) q);
-  let q2 = parse "exists b, c. S(b, c) and c < 'z'" in
-  Alcotest.(check (option bool)) "name order unsatisfiable" (Some false)
-    (Plan.holds (db ()) q2);
-  let q3 = parse "exists b, c. S(b, c) and c <= 'y' and b = 20" in
-  Alcotest.(check (option bool)) "name <= collapses to equality" (Some true)
-    (Plan.holds (db ()) q3);
-  let q4 = parse "exists a, b. R(a, b) and a != 'name'" in
-  Alcotest.(check (option bool)) "cross-type inequality vacuous" (Some true)
-    (Plan.holds (db ()) q4)
-
-let test_plan_unsupported () =
-  let unsupported q = Plan.holds (db ()) (parse q) = None in
-  Alcotest.(check bool) "disjunction" true (unsupported "R(1, 10) or R(2, 20)");
-  Alcotest.(check bool) "negation" true (unsupported "not R(1, 10)");
-  Alcotest.(check bool) "universal" true (unsupported "forall a, b. R(a, b)");
-  Alcotest.(check bool) "unsafe comparison" true
-    (unsupported "exists a, b, x. R(a, b) and x > 3");
-  Alcotest.(check bool) "no atoms" true (unsupported "1 < 2")
+  let db = db () in
+  let cases =
+    [
+      ("cross-type constant", "exists a, b. R(a, b) and a = 'nope'", false);
+      ("name order unsatisfiable", "exists b, c. S(b, c) and c < 'z'", false);
+      ( "name <= collapses to equality",
+        "exists b, c. S(b, c) and c <= 'y' and b = 20",
+        true );
+      ( "cross-type inequality vacuous",
+        "exists a, b. R(a, b) and a != 'name'",
+        true );
+    ]
+  in
+  agree db (List.map (fun (_, q, _) -> q) cases);
+  List.iter
+    (fun (msg, q, expected) -> Alcotest.(check bool) msg expected (holds db q))
+    cases
 
 let test_plan_repeated_vars () =
   let schema = Schema.make "T" [ ("A", Schema.TInt); ("B", Schema.TInt) ] in
@@ -169,11 +172,10 @@ let test_plan_repeated_vars () =
       [ [ Value.int 1; Value.int 1 ]; [ Value.int 1; Value.int 2 ] ]
   in
   let db = Database.of_relations [ t ] in
-  Alcotest.(check (option bool)) "diagonal atom" (Some true)
-    (Plan.holds db (parse "exists x. T(x, x)"));
-  match Plan.answers db (parse "T(x, x)") with
-  | Some (_, rows) -> check Alcotest.int "one diagonal row" 1 (List.length rows)
-  | None -> Alcotest.fail "expected support"
+  agree db [ "exists x. T(x, x)"; "T(x, x)" ];
+  Alcotest.(check bool) "diagonal atom" true (holds db "exists x. T(x, x)");
+  check Alcotest.int "one diagonal row" 1
+    (List.length (snd (Planner.Engine.answers db (parse "T(x, x)"))))
 
 (* --- engine = eval cross-validation -------------------------------------------- *)
 
@@ -197,8 +199,8 @@ let test_engine_matches_eval_random () =
                Value.name (String.make 1 (Char.chr (Char.code 'x' + Workload.Prng.int rng 3)));
              ]))
     in
-    let db = Database.of_relations [ rel; srel ] in
-    let queries =
+    agree
+      (Database.of_relations [ rel; srel ])
       [
         "exists a, b. R(a, b)";
         "exists a, b, c. R(a, b) and S(b, c)";
@@ -206,25 +208,9 @@ let test_engine_matches_eval_random () =
         "exists a, b, c. R(a, b) and S(b, c) and c = 'x'";
         "exists a. R(a, 10) and R(a, 20)";
         "exists x. R(x, x)";
+        (* open query comparison *)
+        "exists b. R(a, b) and S(b, c)";
       ]
-    in
-    List.iter
-      (fun qs ->
-        let q = parse qs in
-        Alcotest.(check bool)
-          (Printf.sprintf "planner = eval on %s" qs)
-          (Query.Eval.holds db q) (Engine.holds db q);
-        Alcotest.(check bool)
-          (Printf.sprintf "planned: %s" qs)
-          true
-          (Engine.planned db q))
-      queries;
-    (* open query comparison *)
-    let open_q = parse "exists b. R(a, b) and S(b, c)" in
-    let free_e, rows_e = Query.Eval.answers db open_q in
-    let free_p, rows_p = Engine.answers db open_q in
-    check Alcotest.(list string) "free vars agree" free_e free_p;
-    Alcotest.(check bool) "rows agree" true (rows_e = rows_p)
   done
 
 let suite =
@@ -239,7 +225,6 @@ let suite =
     ("plan: join queries", `Quick, test_plan_join_query);
     ("plan: open queries", `Quick, test_plan_open_query);
     ("plan: static simplification of comparisons", `Quick, test_plan_static_simplification);
-    ("plan: unsupported fragment falls back", `Quick, test_plan_unsupported);
     ("plan: repeated variables in atoms", `Quick, test_plan_repeated_vars);
     ("engine: planner = evaluator on random databases", `Quick, test_engine_matches_eval_random);
   ]

@@ -382,6 +382,38 @@ let test_serve_metrics_e2e () =
   Unix.close quiet;
   check Alcotest.bool "quiet connection counted as timeout" true
     (counter_total "prefdb_serve_connection_timeouts_total" > timeouts0);
+  (* a client streaming past the request-size cap without a newline gets
+     an error frame and a closed connection, and is counted *)
+  let oversized0 = counter_total "prefdb_serve_oversized_requests_total" in
+  let big = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect big (Unix.ADDR_UNIX (Shell.Server.socket_path dir));
+  let chunk = String.make 65536 'x' in
+  let rec stream sent =
+    if sent <= Shell.Server.max_request_bytes + (4 * String.length chunk) then
+      match Unix.write_substring big chunk 0 (String.length chunk) with
+      | n -> stream (sent + n)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  stream 0;
+  let reply =
+    let buf = Buffer.create 64 and bytes = Bytes.create 4096 in
+    let rec drain () =
+      match Unix.read big bytes 0 (Bytes.length bytes) with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf bytes 0 n;
+        drain ()
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Buffer.contents buf
+    in
+    drain ()
+  in
+  Unix.close big;
+  check Alcotest.bool "oversized request answered with an error frame" true
+    (String.length reply > 6 && String.sub reply 0 6 = "error ");
+  check Alcotest.int "oversized request counted" (oversized0 + 1)
+    (counter_total "prefdb_serve_oversized_requests_total");
+  check Alcotest.bool "next client's query still answered" true
+    (String.length (request "query Mgr('Mary', d, s)") > 0);
   (* enriched status: uptime, generation and request totals *)
   let status = request "status" in
   List.iter

@@ -249,8 +249,9 @@ let aggregates_within_bounds =
       | _ -> false)
 
 let planner_matches_evaluator =
-  (* random conjunctive queries over the case's instance: the algebraic
-     planner and the active-domain evaluator must agree *)
+  (* random conjunctive queries over the case's instance: the cost-based
+     planner compiles every one and agrees with the active-domain
+     evaluator *)
   prop ~count:60 "query planner = active-domain evaluator" (fun c ->
       let conflict, _ = build_case c in
       let rel = Conflict.relation conflict in
@@ -281,13 +282,13 @@ let planner_matches_evaluator =
         else body
       in
       let q = Query.Ast.exists used body in
-      Query.Eval.holds db q = Query.Engine.holds db q
-      && Query.Plan.holds db q <> None)
+      Query.Eval.holds db q = Planner.Engine.holds db q
+      && Planner.Engine.planned db q)
 
 let planner_answers_match_evaluator =
   (* random OPEN existential-conjunctive queries over a two-relation
-     database (one name-typed column in play): the compiled Plan/Algebra
-     route must return exactly the evaluator's answer set — free
+     database (one name-typed column in play): the compiled physical
+     plan must return exactly the evaluator's answer set — free
      variables, rows, order and all. Comparisons include the degenerate
      name-order cases, so this locks the aligned semantics end to end. *)
   prop ~count:60 "planner open answers = evaluator answers" (fun c ->
@@ -354,12 +355,13 @@ let planner_answers_match_evaluator =
       (* quantify a random subset of the variables; the rest stay free *)
       let bound = List.filter (fun _ -> Workload.Prng.bool rng) used in
       let q = Query.Ast.exists bound body in
-      match Query.Plan.answers db q with
-      | None -> false (* the whole fragment must be plannable *)
-      | Some (pfree, prows) ->
-        let efree, erows = Query.Eval.answers db q in
-        List.equal String.equal pfree efree
-        && List.equal (List.equal Relational.Value.equal) prows erows)
+      (* the whole fragment must be plannable *)
+      Planner.Engine.planned db q
+      &&
+      let pfree, prows = Planner.Engine.answers db q in
+      let efree, erows = Query.Eval.answers db q in
+      List.equal String.equal pfree efree
+      && List.equal (List.equal Relational.Value.equal) prows erows)
 
 let cost_planner_widened_matches_evaluator =
   (* random queries over the WIDENED fragment — disjunction, negated
