@@ -3,11 +3,14 @@
    A command-line front end to the library: load an instance file (see
    lib/dbio/instance_format.mli for the format), inspect its conflicts,
    enumerate or check preferred repairs, clean it, and compute preferred
-   consistent query answers and aggregate ranges. *)
+   consistent query answers and aggregate ranges. Every one-shot command
+   with a shell twin loads the file into a {!Shell.Session} and runs the
+   twin, so the CLI, the shell and serve mode print the same text. *)
 
 open Cmdliner
 module IF = Dbio.Instance_format
 module Family = Core.Family
+module Session = Shell.Session
 
 (* --- shared helpers ------------------------------------------------------- *)
 
@@ -16,49 +19,42 @@ let load path =
   | Ok spec -> Ok spec
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
 
-let context spec =
-  let c = Core.Conflict.build spec.IF.fds spec.IF.relation in
-  match IF.to_rule spec with
-  | Error e -> Error e
-  | Ok rule -> (
-    match Core.Pref_rules.apply c rule with
-    | Error e -> Error e
-    | Ok p -> Ok (c, p))
+let fail e =
+  Format.eprintf "error: %s@." e;
+  1
 
-let with_context path f =
-  match load path with
-  | Error e ->
-    Format.eprintf "error: %s@." e;
+(* A session output goes to stdout, or — when it reports an error — to
+   stderr with exit code 1. *)
+let print_output out =
+  if Session.is_error_output out then begin
+    prerr_endline out;
     1
-  | Ok spec -> (
-    match context spec with
-    | Error e ->
-      Format.eprintf "error: %s@." e;
-      1
-    | Ok (c, p) -> f spec c p)
+  end
+  else begin
+    if out <> "" then print_endline out;
+    0
+  end
 
-(* Parse VALUES with the instance-file tuple syntax, against a one-line
-   document carrying just the loaded schema. *)
-let parse_tuple spec values =
-  let schema = Relational.Relation.schema spec.IF.relation in
-  let schema_line =
-    Printf.sprintf "relation %s(%s)"
-      (Relational.Schema.name schema)
-      (String.concat ", "
-         (List.map
-            (fun a ->
-              Printf.sprintf "%s:%s" a.Relational.Schema.attr_name
-                (match a.Relational.Schema.attr_ty with
-                | Relational.Schema.TName -> "name"
-                | Relational.Schema.TInt -> "int"))
-            (Relational.Schema.attributes schema)))
-  in
-  match IF.parse (Printf.sprintf "%s\ntuple %s\n" schema_line values) with
-  | Error e -> Error e
-  | Ok s -> (
-    match Relational.Relation.tuples s.IF.relation with
-    | [ t ] -> Ok t
-    | _ -> Error "expected exactly one tuple")
+(* Load FILE into a fresh session, select the family, and hand the
+   session to [k]. *)
+let with_session ?family path k =
+  let st, msg = Session.exec Session.initial ("load " ^ path) in
+  if Session.is_error_output msg then print_output msg
+  else
+    match family with
+    | None -> k st
+    | Some f -> k (fst (Session.exec st ("family " ^ Family.name_to_string f)))
+
+(* Run the command [lines] in order, stopping at the first error. *)
+let run_session ?family path lines =
+  with_session ?family path (fun st ->
+      let rec go st = function
+        | [] -> 0
+        | line :: rest ->
+          let st, out = Session.exec st line in
+          if print_output out = 0 then go st rest else 1
+      in
+      go st lines)
 
 (* --- tracing ---------------------------------------------------------------- *)
 
@@ -145,49 +141,18 @@ let limit_arg =
   Arg.(value & opt int 20
        & info [ "limit" ] ~docv:"N" ~doc:"Print at most $(docv) repairs.")
 
-(* --- info ------------------------------------------------------------------- *)
+(* --- info / stats / repairs ---------------------------------------------------- *)
 
 let info_cmd =
-  let run path =
-    with_context path (fun spec c p ->
-        let schema = Relational.Relation.schema spec.IF.relation in
-        Format.printf "relation: %a@." Relational.Schema.pp schema;
-        Format.printf "tuples:   %d@."
-          (Relational.Relation.cardinality spec.IF.relation);
-        List.iter
-          (fun fd -> Format.printf "fd:       %a@." Constraints.Fd.pp fd)
-          spec.IF.fds;
-        Format.printf "candidate keys: %s@."
-          (String.concat ", "
-             (List.map
-                (fun k -> "{" ^ String.concat " " k ^ "}")
-                (Constraints.Fd.candidate_keys schema spec.IF.fds)));
-        Format.printf "BCNF:     %b@."
-          (Constraints.Fd.is_bcnf schema spec.IF.fds);
-        Format.printf "domains:  %d@." (Core.Pool.jobs ());
-        let edges = Core.Conflict.conflict_pairs c in
-        Format.printf "conflicts: %d (%d oriented by the preferences)@."
-          (List.length edges)
-          (Core.Priority.arc_count p);
-        List.iter
-          (fun (t1, t2) ->
-            Format.printf "  %a  <->  %a@." Relational.Tuple.pp t1
-              Relational.Tuple.pp t2)
-          edges;
-        0)
-  in
+  let run path = run_session path [ "info" ] in
   Cmd.v
-    (Cmd.info "info" ~doc:"Show schema, constraints, conflicts and preferences.")
+    (Cmd.info "info"
+       ~doc:"Show schema, constraints, candidate keys, conflicts and preferences.")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg)
-
-(* --- stats ------------------------------------------------------------------ *)
 
 let stats_cmd =
   let run path family trace_out =
-    with_trace trace_out @@ fun () ->
-    with_context path (fun _spec c p ->
-        Format.printf "%a@." Core.Stats.pp (Core.Stats.compute family c p);
-        0)
+    with_trace trace_out @@ fun () -> run_session ~family path [ "stats" ]
   in
   Cmd.v
     (Cmd.info "stats"
@@ -196,14 +161,9 @@ let stats_cmd =
           tuple fates under the family's preferences.")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ trace_out_arg)
 
-(* --- repairs ---------------------------------------------------------------- *)
-
 let repairs_cmd =
   let run path family limit =
-    with_context path (fun _spec c p ->
-        Core.Decompose.pp_repairs ~hint:"; raise --limit" family
-          (Core.Decompose.make c p) ~limit Format.std_formatter;
-        0)
+    run_session ~family path [ Printf.sprintf "repairs %d" limit ]
   in
   Cmd.v
     (Cmd.info "repairs"
@@ -219,24 +179,20 @@ let check_cmd =
              ~doc:"Instance file holding the candidate repair (same schema).")
   in
   let run path candidate family =
-    with_context path (fun _spec c p ->
-        match load candidate with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok cand -> (
-          match
-            Core.Conflict.vset_of_relation c cand.IF.relation
-          with
-          | exception Invalid_argument m ->
-            Format.eprintf "error: %s@." m;
-            1
-          | s ->
-            let ok = Family.check family c p s in
-            Format.printf "%s-repair check: %s@."
-              (Family.name_to_string family)
-              (if ok then "YES" else "NO");
-            if ok then 0 else 2))
+    match Result.bind (load path) Session.context with
+    | Error e -> fail e
+    | Ok (c, p) -> (
+      match load candidate with
+      | Error e -> fail e
+      | Ok cand -> (
+        match Core.Conflict.vset_of_relation c cand.IF.relation with
+        | exception Invalid_argument m -> fail m
+        | s ->
+          let ok = Family.check family c p s in
+          Format.printf "%s-repair check: %s@."
+            (Family.name_to_string family)
+            (if ok then "YES" else "NO");
+          if ok then 0 else 2))
   in
   Cmd.v
     (Cmd.info "check"
@@ -245,7 +201,7 @@ let check_cmd =
           family? Exits 0 for yes, 2 for no.")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg $ candidate_arg $ family_arg)
 
-(* --- clean ------------------------------------------------------------------ *)
+(* --- clean / count ------------------------------------------------------------ *)
 
 let clean_cmd =
   let trace_arg =
@@ -254,17 +210,7 @@ let clean_cmd =
   in
   let run path trace trace_out =
     with_trace trace_out @@ fun () ->
-    with_context path (fun _spec c p ->
-        if trace then
-          Format.printf "%a@." (Core.Trace.pp c) (Core.Trace.clean c p)
-        else begin
-          let report = Core.Clean.run_with_priority c p in
-          Format.printf "%a@." Core.Clean.pp_report report;
-          Relational.Relation.iter
-            (fun t -> Format.printf "  %a@." Relational.Tuple.pp t)
-            report.Core.Clean.cleaned
-        end;
-        0)
+    run_session path [ (if trace then "trace" else "clean") ]
   in
   Cmd.v
     (Cmd.info "clean"
@@ -273,18 +219,9 @@ let clean_cmd =
           preferences (keeps one common repair).")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg $ trace_arg $ trace_out_arg)
 
-(* --- count ------------------------------------------------------------------ *)
-
 let count_cmd =
   let run path family trace_out =
-    with_trace trace_out @@ fun () ->
-    with_context path (fun _spec c p ->
-        let d = Core.Decompose.make c p in
-        Format.printf "%s: %d preferred repair(s) across %d conflict component(s)@."
-          (Family.name_to_string family)
-          (Core.Decompose.count family d)
-          (Core.Decompose.component_count d);
-        0)
+    with_trace trace_out @@ fun () -> run_session ~family path [ "count" ]
   in
   Cmd.v
     (Cmd.info "count"
@@ -295,37 +232,6 @@ let count_cmd =
     Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ trace_out_arg)
 
 (* --- query ------------------------------------------------------------------ *)
-
-(* The planner's view of the loaded instance: the (dirty) relation as a
-   one-relation database, costed with exact column statistics from one
-   scan. *)
-let planner_report spec q =
-  let s = Planner.Stats.scan spec.IF.relation in
-  let name = Planner.Stats.relation_name s in
-  let stats r = if String.equal r name then Some s else None in
-  Planner.Explain.run ~stats
-    (Relational.Database.of_relations [ spec.IF.relation ])
-    q
-
-(* Collect the run's spans into a fresh buffer, teeing onto whatever
-   sink is already live (e.g. --trace-out), so the slow-query log sees
-   the same phases a trace would. *)
-let with_span_capture f =
-  let buf = Obs.Sink.Memory.create () in
-  let prev = Obs.Span.sink () in
-  let sink =
-    match prev with
-    | None -> Obs.Sink.Memory.sink buf
-    | Some s -> Obs.Sink.tee s (Obs.Sink.Memory.sink buf)
-  in
-  Obs.Span.set_sink (Some sink);
-  let r = Fun.protect ~finally:(fun () -> Obs.Span.set_sink prev) f in
-  (r, Obs.Sink.Memory.events buf)
-
-let first_line s =
-  match String.index_opt s '\n' with
-  | None -> s
-  | Some i -> String.sub s 0 i
 
 let slow_query_ms_arg =
   let parse s =
@@ -369,81 +275,29 @@ let query_cmd =
   in
   let run path family qtext trace slow_ms slow_log trace_out =
     with_trace trace_out @@ fun () ->
-    with_context path (fun spec c p ->
-        match Query.Parser.parse qtext with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok q ->
-          (* every route goes through the component decomposition: ground
-             queries hit the clause engine, quantified ones the streaming
-             deviation scan — exponential only in the largest component *)
-          let d = Core.Decompose.make c p in
-          let answer () =
-            if Query.Ast.is_closed q then
-              if trace then
-                Format.asprintf "%a" Core.Trace.pp_cqa
-                  (Core.Trace.certainty family d q)
-              else
-                Format.asprintf "%s-consistent answer: %s"
-                  (Family.name_to_string family)
-                  (Core.Cqa.certainty_to_string
-                     (Core.Decompose.certainty family d q))
-            else begin
-              let free, rows =
-                Core.Decompose.consistent_answers_open family d q
-              in
-              Format.asprintf "%t" (fun ppf ->
-                  Format.fprintf ppf "certain answers (%s):@,"
-                    (String.concat ", " free);
-                  List.iter
-                    (fun row ->
-                      Format.fprintf ppf "  (%s)@,"
-                        (String.concat ", "
-                           (List.map Relational.Value.to_string row)))
-                    rows;
-                  Format.fprintf ppf "%d certain answer(s)"
-                    (List.length rows);
-                  if trace then
-                    Format.fprintf ppf "@,%a" Core.Decompose.pp_counters
-                      (Core.Decompose.counters d))
-            end
-          in
-          let t0 = Unix.gettimeofday () in
-          let output, events =
-            match slow_ms with
-            | None -> (answer (), [])
-            | Some _ -> with_span_capture answer
-          in
-          let wall = Unix.gettimeofday () -. t0 in
-          print_endline output;
-          (match slow_ms with
-          | Some thr when (wall *. 1000.0) +. 1e-9 >= thr ->
-            let explain =
-              match planner_report spec q with
-              | report ->
-                Some
-                  ( Format.asprintf "%a" Planner.Explain.pp report,
-                    Planner.Explain.to_json report )
-              | exception Invalid_argument _ -> None
-            in
-            let record =
-              {
-                Shell.Slowlog.ts = Unix.gettimeofday ();
-                cmd = "query";
-                query = qtext;
-                verdict = first_line output;
-                wall_ms = wall *. 1000.0;
-                phases = Obs.Profile.flat (Obs.Profile.tree events);
-                explain;
-              }
-            in
-            let log = Option.value slow_log ~default:"slow.jsonl" in
-            (match Shell.Slowlog.append ~path:log record with
-            | Ok () -> Format.eprintf "slow query logged to %s@." log
-            | Error e -> Format.eprintf "slow-query log: %s@." e)
-          | _ -> ());
-          0)
+    let cmd = if trace then "qtrace" else "query" in
+    with_session ~family path (fun st ->
+        let t0 = Unix.gettimeofday () in
+        let exec () = snd (Session.exec st (cmd ^ " " ^ qtext)) in
+        let output, events =
+          match slow_ms with
+          | None -> (exec (), [])
+          | Some _ -> Shell.Slowlog.capture exec
+        in
+        let wall = Unix.gettimeofday () -. t0 in
+        let code = print_output output in
+        (match slow_ms with
+        | Some threshold_ms
+          when code = 0 && Shell.Slowlog.crosses ~threshold_ms wall -> (
+          let log = Option.value slow_log ~default:"slow.jsonl" in
+          match
+            Shell.Slowlog.append ~path:log
+              (Shell.Slowlog.record st ~cmd ~query:qtext ~wall ~events output)
+          with
+          | Ok () -> Format.eprintf "slow query logged to %s@." log
+          | Error e -> Format.eprintf "slow-query log: %s@." e)
+        | _ -> ());
+        code)
   in
   Cmd.v
     (Cmd.info "query"
@@ -458,24 +312,7 @@ let query_cmd =
 (* --- facts ------------------------------------------------------------------- *)
 
 let facts_cmd =
-  let run path family =
-    with_context path (fun _spec c p ->
-        let d = Core.Decompose.make c p in
-        let certain = Core.Decompose.certain_tuples family d in
-        let possible = Core.Decompose.possible_tuples family d in
-        let all = Core.Conflict.live c in
-        let show label s =
-          Format.printf "%s (%d):@." label (Graphs.Vset.cardinal s);
-          Graphs.Vset.iter
-            (fun v ->
-              Format.printf "  %a@." Relational.Tuple.pp (Core.Conflict.tuple c v))
-            s
-        in
-        show "certain (in every preferred repair)" certain;
-        show "disputed (in some preferred repairs)" (Graphs.Vset.diff possible certain);
-        show "excluded (in no preferred repair)" (Graphs.Vset.diff all possible);
-        0)
-  in
+  let run path family = run_session ~family path [ "facts" ] in
   Cmd.v
     (Cmd.info "facts"
        ~doc:
@@ -490,27 +327,7 @@ let explain_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"QUERY" ~doc:"Closed first-order query text.")
   in
-  let run path family qtext =
-    with_context path (fun spec c p ->
-        match Query.Parser.parse qtext with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok q ->
-          if not (Query.Ast.is_closed q) then begin
-            Format.eprintf "error: explain requires a closed query@.";
-            1
-          end
-          else begin
-            (* the plan every per-repair certainty check executes, shown
-               over the current instance *)
-            Format.printf "%a@." Planner.Explain.pp_plan_only
-              (planner_report spec q);
-            let v = Core.Explain.query family c p q in
-            Format.printf "%a@." (Core.Explain.pp_verdict c) v;
-            0
-          end)
-  in
+  let run path family qtext = run_session ~family path [ "explain " ^ qtext ] in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -530,21 +347,14 @@ let plan_cmd =
          & info [ "json" ] ~doc:"Emit the report as one JSON object.")
   in
   let run path qtext json =
-    with_context path (fun spec _c _p ->
-        match Query.Parser.parse qtext with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok q -> (
-          match planner_report spec q with
-          | report ->
-            if json then
-              print_endline (Obs.Json.to_string (Planner.Explain.to_json report))
-            else Format.printf "%a@." Planner.Explain.pp report;
+    if not json then run_session path [ "plan " ^ qtext ]
+    else
+      with_session path (fun st ->
+          match Session.plan_json st qtext with
+          | Ok j ->
+            print_endline (Obs.Json.to_string j);
             0
-          | exception Invalid_argument m ->
-            Format.eprintf "error: %s@." m;
-            1))
+          | Error e -> fail e)
   in
   Cmd.v
     (Cmd.info "plan"
@@ -567,19 +377,7 @@ let status_cmd =
                 of the instance file (quote the whole argument).")
   in
   let run path family tuple_text =
-    with_context path (fun spec c p ->
-        match parse_tuple spec tuple_text with
-        | Error e ->
-          Format.eprintf "error: cannot parse tuple: %s@." e;
-          1
-        | Ok t -> (
-          match Core.Explain.tuple_status family c p t with
-          | st ->
-            Format.printf "%a@." Core.Explain.pp_tuple_status st;
-            0
-          | exception Invalid_argument m ->
-            Format.eprintf "error: %s@." m;
-            1))
+    run_session ~family path [ "status " ^ tuple_text ]
   in
   Cmd.v
     (Cmd.info "status"
@@ -596,35 +394,8 @@ let aggregate_cmd =
          & info [] ~docv:"AGG"
              ~doc:"Aggregate: count, sum:ATTR, min:ATTR or max:ATTR.")
   in
-  let parse_agg s =
-    match String.split_on_char ':' s with
-    | [ "count" ] -> Ok Core.Aggregate.Count_all
-    | [ "sum"; a ] -> Ok (Core.Aggregate.Sum a)
-    | [ "min"; a ] -> Ok (Core.Aggregate.Min a)
-    | [ "max"; a ] -> Ok (Core.Aggregate.Max a)
-    | _ -> Error (Printf.sprintf "cannot parse aggregate %S" s)
-  in
   let run path family agg_text =
-    with_context path (fun _spec c p ->
-        match parse_agg agg_text with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok agg -> (
-          let result =
-            if family = Family.Rep then Core.Aggregate.range c agg
-            else Core.Aggregate.range_preferred family c p agg
-          in
-          match result with
-          | Error e ->
-            Format.eprintf "error: %s@." e;
-            1
-          | Ok r ->
-            Format.printf "%s over %s repairs: %a@."
-              (Core.Aggregate.agg_to_string agg)
-              (Family.name_to_string family)
-              Core.Aggregate.pp_range r;
-            0))
+    run_session ~family path [ "aggregate " ^ agg_text ]
   in
   Cmd.v
     (Cmd.info "aggregate"
@@ -653,84 +424,23 @@ let update_cmd =
   in
   let run path family inserts deletes save trace_out =
     with_trace trace_out @@ fun () ->
-    match load path with
-    | Error e ->
-      Format.eprintf "error: %s@." e;
-      1
-    | Ok spec -> (
-      match IF.to_rule spec with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-      | Ok rule -> (
-        match Core.Delta.create ~rule spec.IF.fds spec.IF.relation with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok eng -> (
-          let parse_ops mk = function
-            | [] -> Ok []
-            | texts ->
-              List.fold_left
-                (fun acc text ->
-                  match (acc, parse_tuple spec text) with
-                  | Error e, _ -> Error e
-                  | Ok _, Error e -> Error e
-                  | Ok ops, Ok t -> Ok (mk t :: ops))
-                (Ok []) texts
-              |> Result.map List.rev
-          in
-          let ops =
-            match parse_ops (fun t -> Core.Delta.Delete t) deletes with
-            | Error e -> Error e
-            | Ok dels -> (
-              match parse_ops (fun t -> Core.Delta.Insert t) inserts with
-              | Error e -> Error e
-              | Ok inss -> Ok (dels @ inss))
-          in
-          match ops with
-          | Error e ->
-            Format.eprintf "error: %s@." e;
-            1
-          | Ok [] ->
-            Format.eprintf "error: nothing to do (use --insert/--delete)@.";
-            1
-          | Ok ops -> (
-            match Core.Delta.apply eng ops with
-            | Error e ->
-              Format.eprintf "error: %s@." e;
-              1
-            | Ok report ->
-              let d = Core.Delta.decompose eng in
-              Format.printf "%a@." Core.Delta.pp_report report;
-              Format.printf
-                "%s: %d preferred repair(s) across %d conflict component(s)@."
-                (Family.name_to_string family)
-                (Core.Decompose.count family d)
-                (Core.Decompose.component_count d);
-              Format.printf "%a@." Core.Decompose.pp_counters
-                (Core.Decompose.counters d);
-              (match save with
-              | None -> 0
-              | Some out -> (
-                let spec' =
-                  { spec with IF.relation = Core.Delta.relation eng }
-                in
-                match IF.save out spec' with
-                | Ok () ->
-                  Format.printf "saved %s@." out;
-                  0
-                | Error m ->
-                  Format.eprintf "error: %s@." m;
-                  1))))))
+    if inserts = [] && deletes = [] then
+      fail "nothing to do (use --insert/--delete)"
+    else
+      run_session ~family path
+        (List.map (( ^ ) "delete ") deletes
+        @ List.map (( ^ ) "insert ") inserts
+        @ [ "count" ]
+        @ match save with None -> [] | Some out -> [ "save " ^ out ])
   in
   Cmd.v
     (Cmd.info "update"
        ~doc:
-         "Apply a batch of tuple insertions and deletions through the \
-          incremental engine: the conflict graph is maintained by delta, \
-          only the components the batch touches are re-decomposed, and the \
-          work report shows what was dirtied, evicted and retained.")
+         "Apply tuple insertions and deletions one at a time through the \
+          incremental engine — the conflict graph is maintained by delta, \
+          only the components an update touches are re-decomposed, and \
+          each update's work report shows what was dirtied, evicted and \
+          retained — then count the preferred repairs.")
     Term.(
       const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ insert_arg
       $ delete_arg $ save_arg $ trace_out_arg)
@@ -784,71 +494,23 @@ let shell_cmd =
 
 (* --- profile ------------------------------------------------------------------ *)
 
-let pp_seconds ppf s =
-  if s < 1e-3 then Format.fprintf ppf "%.2f us" (s *. 1e6)
-  else if s < 1. then Format.fprintf ppf "%.2f ms" (s *. 1e3)
-  else Format.fprintf ppf "%.3f s" s
-
 let profile_cmd =
   let query_arg =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"QUERY" ~doc:"First-order query text.")
   in
   let run path family qtext trace_out =
-    match Query.Parser.parse qtext with
-    | Error e ->
-      Format.eprintf "error: %s@." e;
-      1
-    | Ok q ->
-      let buf = Obs.Sink.Memory.create () in
-      Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
-      let t0 = Unix.gettimeofday () in
-      let code =
-        (* one root span brackets everything measured, so the profile
-           tree accounts for (almost) all of the wall time below *)
-        Obs.Span.with_span "profile" @@ fun () ->
-        with_context path (fun _spec c p ->
-            let d = Core.Decompose.make c p in
-            if Query.Ast.is_closed q then begin
-              Format.printf "%s-consistent answer: %s@."
-                (Family.name_to_string family)
-                (Core.Cqa.certainty_to_string
-                   (Core.Decompose.certainty family d q));
-              0
-            end
-            else begin
-              let _free, rows =
-                Core.Decompose.consistent_answers_open family d q
-              in
-              Format.printf "%d certain answer(s)@." (List.length rows);
-              0
-            end)
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      Obs.Span.set_sink None;
-      let events = Obs.Sink.Memory.events buf in
-      let nodes = Obs.Profile.tree events in
-      let covered = Obs.Profile.total nodes in
-      Format.printf "@.%a@." Obs.Profile.pp nodes;
-      Format.printf "wall time %a; spans cover %.1f%% (%d event(s))@."
-        pp_seconds wall
-        (if wall > 0. then 100. *. covered /. wall else 100.)
-        (List.length events);
-      (match trace_out with
-      | None -> ()
-      | Some out ->
-        write_trace out events;
-        Format.printf "trace written to %s@." out);
-      code
+    with_trace trace_out @@ fun () ->
+    run_session ~family path [ "profile " ^ qtext ]
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Answer a query and print a hierarchical time profile of the \
-          whole run: conflict-graph construction, preference orientation, \
-          per-component repair enumeration and the CQA route taken \
-          (ground clause engine, deviation scan or full product), with \
-          counter deltas attached to each span.")
+         "Answer a query and print a hierarchical time profile of its \
+          evaluation: per-component repair enumeration and the CQA route \
+          taken (ground clause engine, deviation scan or full product), \
+          with counter deltas attached to each span, and the wall time \
+          the spans cover.")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ query_arg $ trace_out_arg)
 
 (* --- validate-trace ----------------------------------------------------------- *)
@@ -1253,39 +915,6 @@ let validate_slowlog_cmd =
 
 module Hfamily = Core.Hfamily
 
-(* The denial constraints in force: declared [denial] lines, or — when
-   none are declared — the FDs compiled to denial form, so the hyper
-   commands answer on any instance file. *)
-let denials_of spec =
-  match spec.IF.denials with
-  | [] ->
-    let schema = Relational.Relation.schema spec.IF.relation in
-    List.concat_map (Constraints.Denial.of_fd schema) spec.IF.fds
-  | dcs -> dcs
-
-let hyper_context spec =
-  match Core.Hyper.build (denials_of spec) spec.IF.relation with
-  | exception Invalid_argument m -> Error m
-  | h -> (
-    match IF.to_rule spec with
-    | Error e -> Error e
-    | Ok rule -> (
-      match Core.Hpriority.of_rule h rule with
-      | Error e -> Error e
-      | Ok p -> Ok (h, p)))
-
-let with_hyper path f =
-  match load path with
-  | Error e ->
-    Format.eprintf "error: %s@." e;
-    1
-  | Ok spec -> (
-    match hyper_context spec with
-    | Error e ->
-      Format.eprintf "error: %s@." e;
-      1
-    | Ok (h, p) -> f spec h p)
-
 let hfamily_arg =
   let parse s =
     match Hfamily.name_of_string s with
@@ -1300,27 +929,7 @@ let hfamily_arg =
               pareto or global (default rep).")
 
 let hyper_info_cmd =
-  let run path =
-    with_hyper path (fun spec h p ->
-        let dcs = denials_of spec in
-        Format.printf "denials:    %d%s@." (List.length dcs)
-          (if spec.IF.denials = [] && dcs <> [] then " (compiled from the fds)"
-           else "");
-        List.iter
-          (fun dc -> Format.printf "  %s@." (Constraints.Denial.to_string dc))
-          dcs;
-        let d = Core.Hdecompose.make h p in
-        Format.printf "facts:      %d live@."
-          (Graphs.Vset.cardinal (Core.Hyper.live h));
-        Format.printf "hyperedges: %d@."
-          (Graphs.Hypergraph.edge_count (Core.Hyper.hypergraph h));
-        Format.printf "oriented:   %d arc(s)@." (Core.Hpriority.arc_count p);
-        Format.printf "components: %d (largest %d)@."
-          (Core.Hdecompose.component_count d)
-          (Core.Hdecompose.max_component d);
-        Format.printf "consistent: %b@." (Core.Hyper.is_consistent h);
-        0)
-  in
+  let run path = run_session path [ "hyper info" ] in
   Cmd.v
     (Cmd.info "info"
        ~doc:
@@ -1328,16 +937,14 @@ let hyper_info_cmd =
           hypergraph they induce: hyperedges, oriented pairs, components.")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg)
 
+(* The session's [hyper SUB FAM ARG] line. *)
+let hyper_line sub family arg =
+  String.concat " " [ "hyper"; sub; Hfamily.name_to_string family; arg ]
+
 let hyper_count_cmd =
   let run path family trace_out =
     with_trace trace_out @@ fun () ->
-    with_hyper path (fun _spec h p ->
-        let d = Core.Hdecompose.make h p in
-        Format.printf "%s: %d preferred repair(s) across %d component(s)@."
-          (Hfamily.name_to_string family)
-          (Core.Hdecompose.count family d)
-          (Core.Hdecompose.component_count d);
-        0)
+    run_session path [ hyper_line "count" family "" ]
   in
   Cmd.v
     (Cmd.info "count"
@@ -1348,10 +955,7 @@ let hyper_count_cmd =
 
 let hyper_repairs_cmd =
   let run path family limit =
-    with_hyper path (fun _spec h p ->
-        Core.Hdecompose.pp_repairs ~hint:"; raise --limit" family
-          (Core.Hdecompose.make h p) ~limit Format.std_formatter;
-        0)
+    run_session path [ hyper_line "repairs" family (string_of_int limit) ]
   in
   Cmd.v
     (Cmd.info "repairs"
@@ -1367,21 +971,19 @@ let hyper_check_cmd =
              ~doc:"Instance file holding the candidate repair (same schema).")
   in
   let run path candidate family =
-    with_hyper path (fun _spec h p ->
-        match load candidate with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok cand -> (
-          match Hfamily.check_relation family h p cand.IF.relation with
-          | exception Invalid_argument m ->
-            Format.eprintf "error: %s@." m;
-            1
-          | ok ->
-            Format.printf "%s-repair check: %s@."
-              (Hfamily.name_to_string family)
-              (if ok then "YES" else "NO");
-            if ok then 0 else 2))
+    match Result.bind (load path) Session.hyper_context with
+    | Error e -> fail e
+    | Ok (h, p) -> (
+      match load candidate with
+      | Error e -> fail e
+      | Ok cand -> (
+        match Hfamily.check_relation family h p cand.IF.relation with
+        | exception Invalid_argument m -> fail m
+        | ok ->
+          Format.printf "%s-repair check: %s@."
+            (Hfamily.name_to_string family)
+            (if ok then "YES" else "NO");
+          if ok then 0 else 2))
   in
   Cmd.v
     (Cmd.info "check"
@@ -1397,23 +999,7 @@ let hyper_query_cmd =
   in
   let run path family text trace_out =
     with_trace trace_out @@ fun () ->
-    with_hyper path (fun _spec h p ->
-        match Query.Parser.parse text with
-        | Error e ->
-          Format.eprintf "error: %s@." e;
-          1
-        | Ok q ->
-          if not (Query.Ast.is_closed q) then begin
-            Format.eprintf "error: hyper query requires a closed query@.";
-            1
-          end
-          else begin
-            let d = Core.Hdecompose.make h p in
-            Format.printf "%s-consistent answer: %s@."
-              (Hfamily.name_to_string family)
-              (Core.Cqa.certainty_to_string (Core.Hdecompose.certainty family d q));
-            0
-          end)
+    run_session path [ hyper_line "query" family text ]
   in
   Cmd.v
     (Cmd.info "query"

@@ -245,8 +245,12 @@ let max_request_bytes = 1 lsl 20
 (* One request line, newline-stripped.  [`Line] / [`Eof] (clean close
    at a line boundary) / [`Fail] (timeout or error; any partial line is
    abandoned with the connection) / [`Oversized json] (the line passed
-   [max_request_bytes]; [json] when it opened with '{'). *)
-let read_line conn =
+   [max_request_bytes]; [json] when it opened with '{').  The whole line
+   must arrive within [timeout] seconds of the call: SO_RCVTIMEO fires
+   only on silence, so a client trickling bytes is cut off here, at the
+   first refill past the deadline. *)
+let read_line ~timeout conn =
+  let deadline = Unix.gettimeofday () +. timeout in
   let acc = Buffer.create 128 in
   let oversized () =
     `Oversized (Buffer.length acc > 0 && Buffer.nth acc 0 = '{')
@@ -266,6 +270,8 @@ let read_line conn =
         if Buffer.length acc > max_request_bytes then oversized ()
         else refill ()
   and refill () =
+    if Unix.gettimeofday () > deadline then `Fail Timeout else read_more ()
+  and read_more () =
     match Unix.read conn.fd conn.rbuf 0 (Bytes.length conn.rbuf) with
     | 0 ->
       (* a trailing unterminated line still counts, matching what the
@@ -407,52 +413,14 @@ let handle store session line =
 let slow_eligible cmd =
   List.mem cmd [ "query"; "qtrace"; "explain"; "plan"; "count"; "aggregate" ]
 
-(* Run [f] with a memory sink teed onto whatever sink is live, so the
-   capture works whether or not the server records a trace. *)
-let with_span_capture f =
-  let buf = Obs.Sink.Memory.create () in
-  let prev = Obs.Span.sink () in
-  let sink =
-    match prev with
-    | None -> Obs.Sink.Memory.sink buf
-    | Some s -> Obs.Sink.tee s (Obs.Sink.Memory.sink buf)
-  in
-  Obs.Span.set_sink (Some sink);
-  let r =
-    Fun.protect ~finally:(fun () -> Obs.Span.set_sink prev) f
-  in
-  (r, Obs.Sink.Memory.events buf)
-
-let first_line s =
-  match String.index_opt s '\n' with
-  | None -> s
-  | Some i -> String.sub s 0 i
-
 let log_slow config ~dir ~session ~cmd ~query ~wall ~events (r : reply) =
-  let phases = Obs.Profile.flat (Obs.Profile.tree events) in
-  (* one extra planner run, executed over the dirty relation — cheap
-     next to the repair-space work that made the query slow, and it
-     carries the est/actual cardinalities the post-mortem needs *)
-  let explain =
-    match Session.explain_report session query with
-    | Ok (text, json) -> Some (text, json)
-    | Error _ -> None
-  in
-  let record =
-    {
-      Slowlog.ts = Unix.gettimeofday ();
-      cmd;
-      query;
-      verdict = first_line r.output;
-      wall_ms = wall *. 1000.0;
-      phases;
-      explain;
-    }
-  in
   let path =
     match config.slow_log with Some p -> p | None -> slow_log_path dir
   in
-  match Slowlog.append ~path record with
+  match
+    Slowlog.append ~path
+      (Slowlog.record session ~cmd ~query ~wall ~events r.output)
+  with
   | Ok () ->
     incr slow_logged;
     Obs.Metric.incr m_slow_queries
@@ -491,7 +459,7 @@ let handle_request config ~dir store session raw =
     let (session, r), events =
       Fun.protect
         ~finally:(fun () -> Obs.Metric.add_gauge m_in_flight (-1.0))
-        (fun () -> if capture then with_span_capture run else (run (), []))
+        (fun () -> if capture then Slowlog.capture run else (run (), []))
     in
     let wall = Unix.gettimeofday () -. t0 in
     incr requests_served;
@@ -500,7 +468,7 @@ let handle_request config ~dir store session raw =
     if not r.ok then Obs.Metric.incr (m_request_errors label);
     Obs.Metric.observe (m_request_seconds label) wall;
     (match config.slow_query_ms with
-    | Some thr when capture && (wall *. 1000.0) +. 1e-9 >= thr ->
+    | Some threshold_ms when capture && Slowlog.crosses ~threshold_ms wall ->
       log_slow config ~dir ~session ~cmd ~query:(rest_of line) ~wall ~events r
     | _ -> ());
     (session, r, json)
@@ -515,9 +483,10 @@ let remove_if_exists path = try Sys.remove path with Sys_error _ -> ()
 
 (* Connections are served one at a time, so a client that connects and
    goes quiet must not wedge the loop: every read and write on the
-   accepted socket carries [config.request_timeout] seconds, after
-   which the connection is dropped (counted as a timeout) and the next
-   client — including a [shutdown] — is accepted.  A client that
+   accepted socket carries [config.request_timeout] seconds, and so does
+   each whole request line, after which the connection is dropped
+   (counted as a timeout) and the next client — including a [shutdown]
+   — is accepted.  A client that
    disconnects mid-response (EPIPE/ECONNRESET) likewise only kills its
    own connection.  Well-behaved clients open a connection per request
    and are far inside the budget. *)
@@ -529,7 +498,7 @@ let serve_connection config ~dir store session_ref stop_ref fd =
   Obs.Metric.incr m_connections;
   let conn = conn_of_fd fd in
   let rec loop () =
-    match read_line conn with
+    match read_line ~timeout:config.request_timeout conn with
     | `Eof -> ()
     | `Fail failure -> count_io_failure failure
     | `Oversized json ->

@@ -23,9 +23,11 @@
     A connection may issue any number of requests; closing the socket
     ends it. Connections are served one at a time, so reads and writes
     on an accepted socket carry a timeout ({!config.request_timeout},
-    default 10 seconds, [PREFDB_REQUEST_TIMEOUT] overrides) — a client
-    that connects and goes quiet is dropped rather than blocking every
-    other client (including a [shutdown]).  A client that disconnects
+    default 10 seconds, [PREFDB_REQUEST_TIMEOUT] overrides), and each
+    request line must arrive whole within that many seconds — a client
+    that connects and goes quiet, or trickles a request a byte at a
+    time, is dropped rather than blocking every other client (including
+    a [shutdown]).  A client that disconnects
     mid-response only kills its own connection; timeouts and broken
     pipes are counted separately in the serve metrics.  A request line
     longer than {!max_request_bytes} is answered with an error frame

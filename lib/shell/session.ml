@@ -74,8 +74,9 @@ let help_text =
   \  help                 this text\n\
   \  quit                 leave"
 
-(* Build the evaluation context of the loaded instance. *)
-let context spec =
+(* Build the binary evaluation context of the loaded instance: the
+   conflict graph of its FDs, oriented by its preferences. *)
+let fd_context spec =
   let c = Core.Conflict.build spec.IF.fds spec.IF.relation in
   match IF.to_rule spec with
   | Error e -> Error e
@@ -99,14 +100,32 @@ let of_spec ?engine spec =
   in
   { initial with spec = Some spec; engine }
 
-let with_context st k =
+(* The binary conflict graph is built from the FDs alone, so a spec
+   that declares denials would be answered as if they did not exist. *)
+let denials_declared =
+  "the instance declares denial constraints, which the FD conflict graph \
+   ignores (use: hyper count|repairs|query)"
+
+let context spec =
+  if spec.IF.denials <> [] then Error denials_declared else fd_context spec
+
+(* For the commands that describe the instance rather than answer over
+   its repairs ([info], [plan]): the FD context of any spec. *)
+let with_fd_context st k =
   match st.spec with
   | None -> "no instance loaded (use: load FILE)"
   | Some spec -> (
     match st.engine with
     | Some eng -> k spec (Core.Delta.conflict eng) (Core.Delta.priority eng)
     | None -> (
-      match context spec with Error e -> "error: " ^ e | Ok (c, p) -> k spec c p))
+      match fd_context spec with
+      | Error e -> "error: " ^ e
+      | Ok (c, p) -> k spec c p))
+
+let with_context st k =
+  match st.spec with
+  | Some spec when spec.IF.denials <> [] -> "error: " ^ denials_declared
+  | _ -> with_fd_context st k
 
 (* The decomposition to answer through: the engine's one accumulates its
    component-repair cache across commands and updates. *)
@@ -130,7 +149,8 @@ let buffer_out k =
 
 let cmd_load st path =
   match IF.parse_file path with
-  | Error e -> (st, "error: " ^ e)
+  | Error e when String.starts_with ~prefix:path e -> (st, "error: " ^ e)
+  | Error e -> (st, Printf.sprintf "error: %s: %s" path e)
   | Ok spec ->
     let engine =
       match build_engine spec with Ok e -> Some e | Error _ -> None
@@ -150,7 +170,7 @@ let cmd_family st name =
   | None -> (st, Printf.sprintf "unknown family %S (use rep|l|s|g|c)" name)
 
 let cmd_info st =
-  with_context st (fun spec c p ->
+  with_fd_context st (fun spec c p ->
       buffer_out (fun ppf ->
           let schema = Relation.schema spec.IF.relation in
           Format.fprintf ppf "relation: %a@." Schema.pp schema;
@@ -160,6 +180,11 @@ let cmd_info st =
           List.iter
             (fun fd -> Format.fprintf ppf "fd:       %a@." Constraints.Fd.pp fd)
             spec.IF.fds;
+          Format.fprintf ppf "candidate keys: %s@."
+            (String.concat ", "
+               (List.map
+                  (fun k -> "{" ^ String.concat " " k ^ "}")
+                  (Constraints.Fd.candidate_keys schema spec.IF.fds)));
           Format.fprintf ppf "conflicts: %d (%d oriented)@."
             (List.length (Core.Conflict.conflict_pairs c))
             (Core.Priority.arc_count p);
@@ -227,77 +252,81 @@ let cmd_trace st =
 
 (* All query routes go through the component decomposition: ground
    queries hit the clause engine, quantified ones the deviation-scan
-   streaming — both exponential only in the largest component. *)
-let cmd_query st text =
+   streaming — both exponential only in the largest component. A closed
+   query gets its verdict, an open one its certain bindings. *)
+let answer st d q =
+  if Query.Ast.is_closed q then
+    Printf.sprintf "%s: %s"
+      (Family.name_to_string st.family)
+      (Core.Cqa.certainty_to_string (Core.Decompose.certainty st.family d q))
+  else begin
+    let free, rows = Core.Decompose.consistent_answers_open st.family d q in
+    buffer_out (fun ppf ->
+        Format.fprintf ppf "certain answers (%s):@." (String.concat ", " free);
+        List.iter
+          (fun row ->
+            Format.fprintf ppf "  (%s)@."
+              (String.concat ", " (List.map Value.to_string row)))
+          rows;
+        Format.fprintf ppf "%d certain answer(s)" (List.length rows))
+  end
+
+let with_query st text k =
   with_context st (fun _spec c p ->
       match Query.Parser.parse text with
       | Error e -> "error: " ^ e
-      | Ok q ->
-        let d = decompose_of st c p in
-        if Query.Ast.is_closed q then
-          Printf.sprintf "%s: %s"
-            (Family.name_to_string st.family)
-            (Core.Cqa.certainty_to_string (Core.Decompose.certainty st.family d q))
-        else begin
-          let free, rows = Core.Decompose.consistent_answers_open st.family d q in
-          buffer_out (fun ppf ->
-              Format.fprintf ppf "certain answers (%s):@." (String.concat ", " free);
-              List.iter
-                (fun row ->
-                  Format.fprintf ppf "  (%s)@."
-                    (String.concat ", " (List.map Value.to_string row)))
-                rows;
-              Format.fprintf ppf "%d certain answer(s)" (List.length rows))
-        end)
+      | Ok q -> k (decompose_of st c p) q)
+
+let cmd_query st text = with_query st text (answer st)
 
 let cmd_qtrace st text =
-  with_context st (fun _spec c p ->
-      match Query.Parser.parse text with
-      | Error e -> "error: " ^ e
-      | Ok q ->
-        if not (Query.Ast.is_closed q) then
-          "error: qtrace requires a closed query"
-        else
-          let d = decompose_of st c p in
-          buffer_out (fun ppf ->
-              Format.fprintf ppf "%a" Core.Trace.pp_cqa
-                (Core.Trace.certainty st.family d q)))
+  with_query st text (fun d q ->
+      if not (Query.Ast.is_closed q) then
+        "error: qtrace requires a closed query"
+      else
+        buffer_out (fun ppf ->
+            Format.fprintf ppf "%a" Core.Trace.pp_cqa
+              (Core.Trace.certainty st.family d q)))
+
+let pp_seconds ppf s =
+  if s < 1e-3 then Format.fprintf ppf "%.2f us" (s *. 1e6)
+  else if s < 1. then Format.fprintf ppf "%.2f ms" (s *. 1e3)
+  else Format.fprintf ppf "%.3f s" s
 
 (* Run the query with a local memory sink installed, print the profile
-   tree next to the verdict. If the session already traces to a sink
-   (--trace-out), tee into it so the events reach both. *)
+   tree next to the answer. If the session already traces to a sink
+   (--trace-out), tee into it so the events reach both. One root span
+   brackets the measured work, so the tree accounts for (almost) all of
+   the wall time the footer reports. *)
 let cmd_profile st text =
-  with_context st (fun _spec c p ->
-      match Query.Parser.parse text with
-      | Error e -> "error: " ^ e
-      | Ok q ->
-        if not (Query.Ast.is_closed q) then
-          "error: profile requires a closed query"
-        else begin
-          let buf = Obs.Sink.Memory.create () in
-          let local = Obs.Sink.Memory.sink buf in
-          let outer = Obs.Span.sink () in
-          let sink =
-            match outer with None -> local | Some s -> Obs.Sink.tee local s
-          in
-          Obs.Span.set_sink (Some sink);
-          let restore () = Obs.Span.set_sink outer in
-          match
-            let d = decompose_of st c p in
-            Core.Decompose.certainty st.family d q
-          with
-          | verdict ->
-            restore ();
-            buffer_out (fun ppf ->
-                Format.fprintf ppf "%s: %s@."
-                  (Family.name_to_string st.family)
-                  (Core.Cqa.certainty_to_string verdict);
-                Format.fprintf ppf "%a" Obs.Profile.pp
-                  (Obs.Profile.tree (Obs.Sink.Memory.events buf)))
-          | exception e ->
-            restore ();
-            raise e
-        end)
+  with_query st text (fun d q ->
+      if not (Query.Ast.is_closed q) then
+        "error: profile requires a closed query"
+      else begin
+        let buf = Obs.Sink.Memory.create () in
+        let local = Obs.Sink.Memory.sink buf in
+        let outer = Obs.Span.sink () in
+        let sink =
+          match outer with None -> local | Some s -> Obs.Sink.tee local s
+        in
+        Obs.Span.set_sink (Some sink);
+        let t0 = Unix.gettimeofday () in
+        let verdict =
+          Fun.protect
+            ~finally:(fun () -> Obs.Span.set_sink outer)
+            (fun () -> Obs.Span.with_span "profile" (fun () -> answer st d q))
+        in
+        let wall = Unix.gettimeofday () -. t0 in
+        let events = Obs.Sink.Memory.events buf in
+        let nodes = Obs.Profile.tree events in
+        buffer_out (fun ppf ->
+            Format.fprintf ppf "%s@.%a" verdict Obs.Profile.pp nodes;
+            Format.fprintf ppf "wall time %a; spans cover %.1f%% (%d event(s))"
+              pp_seconds wall
+              (if wall > 0. then 100. *. Obs.Profile.total nodes /. wall
+               else 100.)
+              (List.length events))
+      end)
 
 (* The planner's view of the loaded instance: the (dirty) relation as a
    one-relation database, costed with the engine's incrementally patched
@@ -313,7 +342,7 @@ let planner_report st spec q =
   Planner.Explain.run ?stats:(stats_of st) (planner_db spec) q
 
 let cmd_plan st text =
-  with_context st (fun spec _c _p ->
+  with_fd_context st (fun spec _c _p ->
       match Query.Parser.parse text with
       | Error e -> "error: " ^ e
       | Ok q -> (
@@ -487,7 +516,7 @@ let cmd_prefer st body =
     | Ok pref -> (
       let spec' = { spec with IF.prefs = spec.IF.prefs @ [ pref ] } in
       (* reject preference sets that no longer induce a valid priority *)
-      match context spec' with
+      match fd_context spec' with
       | Error e -> (st, "error: preference rejected: " ^ e)
       | Ok (_, p) -> (
         (* a global preference change invalidates every cached repair
@@ -507,14 +536,27 @@ let cmd_prefer st body =
 (* --- hyper: denial-constraint CQA over the hyperedge substrate ------------- *)
 
 (* The denial constraints in force: the spec's own [denial] declarations
-   or — when none are declared — the FDs compiled to denial form, so the
-   hyper commands answer out of the box on any loaded instance. *)
-let denials_of spec =
-  match spec.IF.denials with
-  | [] ->
-    let schema = Relation.schema spec.IF.relation in
-    List.concat_map (Constraints.Denial.of_fd schema) spec.IF.fds
-  | dcs -> dcs
+   followed by its FDs compiled to denial form, so the hyper commands
+   answer out of the box on any loaded instance. *)
+let compiled_fds spec =
+  let schema = Relation.schema spec.IF.relation in
+  List.concat_map (Constraints.Denial.of_fd schema) spec.IF.fds
+
+let denials_of spec = spec.IF.denials @ compiled_fds spec
+
+(* How many denials are in force, and a note on how many of them came
+   from the FDs. *)
+let denial_count spec =
+  let declared = List.length spec.IF.denials in
+  match List.length (compiled_fds spec) with
+  | 0 -> (declared, "")
+  | n when declared = 0 -> (n, " (compiled from the fds)")
+  | n -> (declared + n, Printf.sprintf " (%d compiled from the fds)" n)
+
+let pp_denials ppf spec =
+  List.iter
+    (fun dc -> Format.fprintf ppf "  %s@." (Constraints.Denial.to_string dc))
+    (denials_of spec)
 
 (* The hyper context is rebuilt per command: denial CQA is the
    analytical side door, not the serve loop's hot path, and a fresh
@@ -542,25 +584,17 @@ let cmd_denials st =
   match st.spec with
   | None -> "no instance loaded (use: load FILE)"
   | Some spec ->
+    let n, note = denial_count spec in
     buffer_out (fun ppf ->
-        let dcs = denials_of spec in
-        Format.fprintf ppf "%d denial constraint(s)%s@." (List.length dcs)
-          (if spec.IF.denials = [] && dcs <> [] then " (compiled from the fds)"
-           else "");
-        List.iter
-          (fun dc ->
-            Format.fprintf ppf "  %s@." (Constraints.Denial.to_string dc))
-          dcs)
+        Format.fprintf ppf "%d denial constraint(s)%s@.%a" n note pp_denials
+          spec)
 
 let cmd_hyper_info st =
   with_hyper st (fun spec h p ->
       let d = Core.Hdecompose.make h p in
+      let n, note = denial_count spec in
       buffer_out (fun ppf ->
-          let dcs = denials_of spec in
-          Format.fprintf ppf "denials:    %d%s@." (List.length dcs)
-            (if spec.IF.denials = [] && dcs <> [] then
-               " (compiled from the fds)"
-             else "");
+          Format.fprintf ppf "denials:    %d%s@.%a" n note pp_denials spec;
           Format.fprintf ppf "facts:      %d live@."
             (Graphs.Vset.cardinal (Core.Hyper.live h));
           Format.fprintf ppf "hyperedges: %d@."
@@ -639,7 +673,7 @@ let cmd_hyper st rest =
     | fam, "" -> cmd_hyper_repairs st fam 20
     | fam, n -> (
       match int_of_string_opt n with
-      | Some n when n > 0 -> cmd_hyper_repairs st fam n
+      | Some n when n >= 0 -> cmd_hyper_repairs st fam n
       | _ -> hyper_usage))
   | "query", arg -> (
     match pop_hyper_family arg with
@@ -671,7 +705,7 @@ let exec st line =
     | "repairs", "" -> (st, cmd_repairs st 20)
     | "repairs", n -> (
       match int_of_string_opt n with
-      | Some n when n > 0 -> (st, cmd_repairs st n)
+      | Some n when n >= 0 -> (st, cmd_repairs st n)
       | _ -> (st, "usage: repairs [N]"))
     | "count", _ -> (st, cmd_count st)
     | "stats", _ -> (st, cmd_stats st)

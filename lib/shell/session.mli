@@ -4,13 +4,15 @@
     instance and the selected repair family as state. The interpreter is
     pure — [exec] maps a state and a command line to a new state and the
     text to display — so the test suite exercises it without a terminal;
-    [bin/prefdb shell] wires it to stdin.
+    [prefdb shell] wires it to stdin, [prefdb serve] to a socket, and
+    every one-shot [prefdb] command with a shell twin loads its file
+    into a fresh session and runs the twin.
 
     Commands:
     {v
     load FILE            load an instance file
     family rep|l|s|g|c   select the preferred-repair family
-    info                 schema, constraints, conflicts
+    info                 schema, constraints, candidate keys, conflicts
     repairs [N]          enumerate (at most N) preferred repairs
     count                count preferred repairs without enumerating
     stats                inconsistency summary
@@ -23,6 +25,8 @@
     qtrace Q             answer plus the decomposition's work report:
                          per-component repair counts, cache traffic,
                          combinations streamed, early exits
+    profile Q            answer plus a hierarchical time profile of the
+                         evaluation and its wall time
     explain Q            answer with witness repairs, prefixed with the
                          physical plan the per-repair checks execute
     plan Q               the cost-based physical plan for Q over the
@@ -42,10 +46,24 @@
     prefer DECL          add a preference (file-format syntax; rebuilds
                          the incremental engine — a global preference
                          change invalidates every component)
+    denials              the denial constraints in force: the declared
+                         ones followed by the FDs in denial form
+    hyper [info]         the conflict hypergraph: denials, edges,
+                         components
+    hyper count|repairs|query [FAM] ...
+                         the same commands on the hyperedge substrate
+                         (FAM: rep|pareto|global)
     save FILE            write the instance and preferences back out
     metrics              process metrics in Prometheus text format
     help                 this text
-    v} *)
+    v}
+
+    The commands that answer over the preferred repairs ([repairs],
+    [count], [facts], [stats], [clean], [trace], [query], [qtrace],
+    [profile], [explain], [status], [aggregate]) run on the binary
+    conflict graph of the FDs. On a spec that declares denial
+    constraints they return an error naming the [hyper] commands
+    instead of an answer that ignores the denials. *)
 
 type state
 
@@ -59,6 +77,19 @@ val of_spec : ?engine:Core.Delta.t -> Dbio.Instance_format.spec -> state
     spec. *)
 
 val family : state -> Core.Family.name
+
+val context :
+  Dbio.Instance_format.spec -> (Core.Conflict.t * Core.Priority.t, string) result
+(** The binary evaluation context of a spec: the conflict graph of its
+    FDs, oriented by its preferences. [Error] when the preferences do not
+    induce a priority, or when the spec declares denial constraints
+    (which the binary graph cannot see). *)
+
+val hyper_context :
+  Dbio.Instance_format.spec -> (Core.Hyper.t * Core.Hpriority.t, string) result
+(** The hyperedge context of a spec: the conflict hypergraph of its
+    declared denials plus its FDs in denial form, oriented by its
+    preferences. *)
 
 val loaded : state -> Dbio.Instance_format.spec option
 

@@ -54,6 +54,43 @@ let append ~path r =
   | exception Unix.Unix_error (err, fn, _) ->
     Error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message err))
 
+(* --- capture ------------------------------------------------------------ *)
+
+(* Run [f] with a memory sink teed onto whatever sink is live, so the
+   capture works whether or not a trace is being recorded. *)
+let capture f =
+  let buf = Obs.Sink.Memory.create () in
+  let prev = Obs.Span.sink () in
+  let sink =
+    match prev with
+    | None -> Obs.Sink.Memory.sink buf
+    | Some s -> Obs.Sink.tee s (Obs.Sink.Memory.sink buf)
+  in
+  Obs.Span.set_sink (Some sink);
+  let r = Fun.protect ~finally:(fun () -> Obs.Span.set_sink prev) f in
+  (r, Obs.Sink.Memory.events buf)
+
+let crosses ~threshold_ms wall = (wall *. 1000.0) +. 1e-9 >= threshold_ms
+
+let first_line s =
+  match String.index_opt s '\n' with
+  | None -> s
+  | Some i -> String.sub s 0 i
+
+let record session ~cmd ~query ~wall ~events output =
+  {
+    ts = Unix.gettimeofday ();
+    cmd;
+    query;
+    verdict = first_line output;
+    wall_ms = wall *. 1000.0;
+    phases = Obs.Profile.flat (Obs.Profile.tree events);
+    (* one extra planner run, executed over the dirty relation — cheap
+       next to the repair-space work that made the query slow, and it
+       carries the est/actual cardinalities the post-mortem needs *)
+    explain = Result.to_option (Session.explain_report session query);
+  }
+
 (* --- validation --------------------------------------------------------- *)
 
 let num_field name j =

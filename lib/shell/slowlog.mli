@@ -30,6 +30,32 @@ val to_json : record -> Obs.Json.t
 val append : path:string -> record -> (unit, string) result
 (** Append one record line, creating the file if needed. *)
 
+(** {2 Capture}
+
+    The serve loop and [prefdb query --slow-query-ms] share these: run
+    the command under {!capture}, and when its wall time {!crosses} the
+    threshold, {!append} its {!record}. *)
+
+val capture : (unit -> 'a) -> 'a * Obs.Event.t list
+(** [capture f] runs [f] with a memory sink teed onto whatever span
+    sink is live and returns its result with the spans it emitted. *)
+
+val crosses : threshold_ms:float -> float -> bool
+(** Whether a wall time in seconds reaches the threshold. *)
+
+val record :
+  Session.state ->
+  cmd:string ->
+  query:string ->
+  wall:float ->
+  events:Obs.Event.t list ->
+  string ->
+  record
+(** [record session ~cmd ~query ~wall ~events output]: the record of a
+    captured command that printed [output] (its first line is the
+    verdict), with the planner report of [query] over [session]'s
+    instance when one can be produced. *)
+
 val validate_line : string -> (unit, string) result
 (** Check one log line: parses as an object, carries the required
     fields with the right types, finite numbers. *)

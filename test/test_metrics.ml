@@ -382,6 +382,29 @@ let test_serve_metrics_e2e () =
   Unix.close quiet;
   check Alcotest.bool "quiet connection counted as timeout" true
     (counter_total "prefdb_serve_connection_timeouts_total" > timeouts0);
+  (* a client trickling one byte every 0.2 s is never silent for the
+     0.5 s socket timeout; the whole-line deadline must drop it *)
+  let timeouts1 = counter_total "prefdb_serve_connection_timeouts_total" in
+  let trickler = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect trickler (Unix.ADDR_UNIX (Shell.Server.socket_path dir));
+  (* true once a write finds the connection closed; false when all
+     [n] bytes (2 s, four deadlines) were accepted *)
+  let rec trickle n =
+    n > 0
+    &&
+    match Unix.write_substring trickler "q" 0 1 with
+    | _ ->
+      Unix.sleepf 0.2;
+      trickle (n - 1)
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> true
+  in
+  let dropped = trickle 10 in
+  Unix.close trickler;
+  check Alcotest.bool "trickling connection dropped" true dropped;
+  check Alcotest.bool "trickling connection counted as timeout" true
+    (counter_total "prefdb_serve_connection_timeouts_total" > timeouts1);
+  check Alcotest.bool "next client's query answered after a trickler" true
+    (String.length (request "query Mgr('Mary', d, s)") > 0);
   (* a client streaming past the request-size cap without a newline gets
      an error frame and a closed connection, and is counted *)
   let oversized0 = counter_total "prefdb_serve_oversized_requests_total" in

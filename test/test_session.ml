@@ -310,6 +310,88 @@ let test_profile_and_telemetry () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("session trace invalid: " ^ e)
 
+(* A spec text loaded into a fresh session. *)
+let load_text text =
+  let path = Filename.temp_file "prefdb" ".pdb" in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
+  let st, msg = Session.exec Session.initial ("load " ^ path) in
+  Alcotest.(check bool) "load succeeded" false (Session.is_error_output msg);
+  st
+
+let emp_denials =
+  "relation Emp(Name:name, Dept:name, Cap:int)\n\
+   denial 'no-dup' forall 2 : t1.Name = t2.Name and t1.Dept != t2.Dept\n\
+   denial 'cap' forall 1 : t1.Cap > 100\n\
+   tuple 'Mary' 'R&D' 10\n\
+   tuple 'Mary' 'IT' 20\n\
+   tuple 'John' 'PR' 30\n\
+   tuple 'Ann' 'HQ' 500\n"
+
+(* The binary conflict graph sees only the FDs: on a spec that declares
+   denials, every command answering over the repairs must refuse rather
+   than answer as if the denials did not exist (Ann violates [cap], so
+   she is in no repair). *)
+let test_denial_spec_refuses_fd_answers () =
+  let st = load_text emp_denials in
+  List.iter
+    (fun cmd ->
+      let _, out = Session.exec st cmd in
+      Alcotest.(check bool) (cmd ^ " is an error") true
+        (Session.is_error_output out);
+      Alcotest.(check bool) (cmd ^ " names the hyper commands") true
+        (contains ~needle:"hyper count|repairs|query" out))
+    [
+      "query Emp('Ann', 'HQ', 500)"; "qtrace Emp('Ann', 'HQ', 500)";
+      "profile Emp('Ann', 'HQ', 500)"; "explain Emp('Ann', 'HQ', 500)";
+      "repairs"; "count"; "facts"; "stats"; "clean"; "trace";
+      "status 'Ann' 'HQ' 500"; "aggregate sum:Cap";
+    ];
+  let _, out = Session.exec st "hyper query Emp('Ann', 'HQ', 500)" in
+  check Alcotest.string "hyper query" "Rep: certainly false" out;
+  let _, out = Session.exec st "hyper count" in
+  check Alcotest.string "hyper count"
+    "Rep: 2 preferred repair(s) across 3 component(s)" out;
+  (* the commands that describe the instance keep working *)
+  List.iter
+    (fun cmd ->
+      let _, out = Session.exec st cmd in
+      Alcotest.(check bool) (cmd ^ " still answers") false
+        (Session.is_error_output out))
+    [ "info"; "plan Emp('Ann', 'HQ', 500)"; "denials" ];
+  let st, out = Session.exec st "insert 'Zed' 'OPS' 7" in
+  Alcotest.(check bool) "insert still applies" false (Session.is_error_output out);
+  let st, out = Session.exec st "delete 'Zed' 'OPS' 7" in
+  Alcotest.(check bool) "delete still applies" false (Session.is_error_output out);
+  let _, out = Session.exec st "undo" in
+  Alcotest.(check bool) "undo still applies" false (Session.is_error_output out)
+
+(* Declared denials add to the FDs rather than replace them: the Mary
+   pair conflicts through [fd Name -> Dept], Ann through [cap]. *)
+let test_denials_keep_the_fds () =
+  let st =
+    load_text
+      "relation Emp(Name:name, Dept:name, Cap:int)\n\
+       fd Name -> Dept\n\
+       denial 'cap' forall 1 : t1.Cap > 100\n\
+       tuple 'Mary' 'R&D' 10\n\
+       tuple 'Mary' 'IT' 20\n\
+       tuple 'John' 'PR' 30\n\
+       tuple 'Ann' 'HQ' 500\n"
+  in
+  let _, out = Session.exec st "hyper count" in
+  Alcotest.(check bool) "two repairs, one per Mary" true
+    (contains ~needle:"Rep: 2 preferred repair(s)" out);
+  let _, out =
+    Session.exec st "hyper query Emp('Mary', 'R&D', 10) and Emp('Mary', 'IT', 20)"
+  in
+  check Alcotest.string "the conflicting Marys are never together"
+    "Rep: certainly false" out;
+  let _, out = Session.exec st "denials" in
+  Alcotest.(check bool) "denials lists both" true
+    (contains ~needle:"2 denial constraint(s) (1 compiled from the fds)" out
+    && contains ~needle:"'cap'" out
+    && contains ~needle:"t1.Name = t2.Name and t1.Dept != t2.Dept" out)
+
 let suite =
   [
     ("initial state", `Quick, test_initial_state);
@@ -327,4 +409,7 @@ let suite =
     ("save/load round-trip", `Quick, test_save_load_round_trip);
     ("unknown commands and help", `Quick, test_unknown_and_help);
     ("profile command and session telemetry", `Quick, test_profile_and_telemetry);
+    ("denial specs refuse FD-graph answers", `Quick,
+     test_denial_spec_refuses_fd_answers);
+    ("declared denials keep the FDs", `Quick, test_denials_keep_the_fds);
   ]
