@@ -126,16 +126,27 @@ let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
          ~doc:"Instance file (see the repository README for the format).")
 
-let family_arg =
+(* [default] is the family when -f is absent; [None] leaves it to the
+   session: c, or rep when the instance declares denials. *)
+let family_arg default =
   let parse s =
     match Family.name_of_string s with
     | Some f -> Ok f
-    | None -> Error (`Msg (Printf.sprintf "unknown family %S (use rep|l|s|g|c)" s))
+    | None ->
+      Error
+        (`Msg (Printf.sprintf "unknown family %S (use rep|l|s|g|c|pareto|global)" s))
   in
   let print ppf f = Family.pp_name ppf f in
-  Arg.(value & opt (conv (parse, print)) Family.C
+  Arg.(value & opt (some (conv (parse, print))) default
        & info [ "f"; "family" ] ~docv:"FAMILY"
-           ~doc:"Preferred-repair family: rep, l, s, g or c (default c).")
+           ~doc:
+             (Printf.sprintf
+                "Preferred-repair family: rep, l, s (or pareto), g (or global) \
+                 or c; on an instance declaring denial constraints only rep, \
+                 pareto and global (default %s)."
+                (match default with
+                | None -> "c, or rep when the instance declares denials"
+                | Some f -> String.lowercase_ascii (Family.name_to_string f))))
 
 let limit_arg =
   Arg.(value & opt int 20
@@ -152,54 +163,51 @@ let info_cmd =
 
 let stats_cmd =
   let run path family trace_out =
-    with_trace trace_out @@ fun () -> run_session ~family path [ "stats" ]
+    with_trace trace_out @@ fun () -> run_session ?family path [ "stats" ]
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Inconsistency summary: conflicts, components, repair counts and \
           tuple fates under the family's preferences.")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ trace_out_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg None $ trace_out_arg)
 
-let repairs_cmd =
+(* The repair commands take the default family as a parameter: the
+   [hyper] group re-exports them with rep as the default. *)
+let repairs_cmd default =
   let run path family limit =
-    run_session ~family path [ Printf.sprintf "repairs %d" limit ]
+    run_session ?family path [ Printf.sprintf "repairs %d" limit ]
   in
   Cmd.v
     (Cmd.info "repairs"
        ~doc:"Enumerate the preferred repairs of the given family.")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ limit_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg default $ limit_arg)
 
 (* --- check ------------------------------------------------------------------ *)
 
-let check_cmd =
+let check_cmd default =
   let candidate_arg =
     Arg.(required & pos 1 (some file) None
          & info [] ~docv:"CANDIDATE"
              ~doc:"Instance file holding the candidate repair (same schema).")
   in
   let run path candidate family =
-    match Result.bind (load path) Session.context with
-    | Error e -> fail e
-    | Ok (c, p) -> (
-      match load candidate with
-      | Error e -> fail e
-      | Ok cand -> (
-        match Core.Conflict.vset_of_relation c cand.IF.relation with
-        | exception Invalid_argument m -> fail m
-        | s ->
-          let ok = Family.check family c p s in
-          Format.printf "%s-repair check: %s@."
-            (Family.name_to_string family)
-            (if ok then "YES" else "NO");
-          if ok then 0 else 2))
+    with_session ?family path (fun st ->
+        match load candidate with
+        | Error e -> fail e
+        | Ok cand -> (
+          match Session.check st cand.IF.relation with
+          | Error e -> fail e
+          | Ok (label, ok) ->
+            Format.printf "%s-repair check: %s@." label (if ok then "YES" else "NO");
+            if ok then 0 else 2))
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "X-repair checking: is the candidate a preferred repair of the \
           family? Exits 0 for yes, 2 for no.")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ candidate_arg $ family_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ candidate_arg $ family_arg default)
 
 (* --- clean / count ------------------------------------------------------------ *)
 
@@ -219,9 +227,9 @@ let clean_cmd =
           preferences (keeps one common repair).")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg $ trace_arg $ trace_out_arg)
 
-let count_cmd =
+let count_cmd default =
   let run path family trace_out =
-    with_trace trace_out @@ fun () -> run_session ~family path [ "count" ]
+    with_trace trace_out @@ fun () -> run_session ?family path [ "count" ]
   in
   Cmd.v
     (Cmd.info "count"
@@ -229,7 +237,7 @@ let count_cmd =
          "Count the preferred repairs without enumerating them \
           (component-factorized; fast whenever conflict components are \
           small).")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ trace_out_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg default $ trace_out_arg)
 
 (* --- query ------------------------------------------------------------------ *)
 
@@ -260,7 +268,7 @@ let slow_log_arg =
               slow.jsonl under the store directory when serving, \
               ./slow.jsonl otherwise).")
 
-let query_cmd =
+let query_cmd default =
   let query_arg =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"QUERY" ~doc:"First-order query text.")
@@ -276,7 +284,7 @@ let query_cmd =
   let run path family qtext trace slow_ms slow_log trace_out =
     with_trace trace_out @@ fun () ->
     let cmd = if trace then "qtrace" else "query" in
-    with_session ~family path (fun st ->
+    with_session ?family path (fun st ->
         let t0 = Unix.gettimeofday () in
         let exec () = snd (Session.exec st (cmd ^ " " ^ qtext)) in
         let output, events =
@@ -306,19 +314,19 @@ let query_cmd =
           the certain bindings of an open one. Answers are computed \
           through the conflict-component decomposition.")
     Term.(
-      const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ query_arg
+      const (with_jobs run) $ jobs_arg $ file_arg $ family_arg default $ query_arg
       $ trace_arg $ slow_query_ms_arg $ slow_log_arg $ trace_out_arg)
 
 (* --- facts ------------------------------------------------------------------- *)
 
 let facts_cmd =
-  let run path family = run_session ~family path [ "facts" ] in
+  let run path family = run_session ?family path [ "facts" ] in
   Cmd.v
     (Cmd.info "facts"
        ~doc:
          "Classify every tuple as certain, disputed or excluded under the \
           family's preferred repairs (component-factorized).")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg None)
 
 (* --- explain / plan ----------------------------------------------------------- *)
 
@@ -327,7 +335,7 @@ let explain_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"QUERY" ~doc:"Closed first-order query text.")
   in
-  let run path family qtext = run_session ~family path [ "explain " ^ qtext ] in
+  let run path family qtext = run_session ?family path [ "explain " ^ qtext ] in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -335,7 +343,7 @@ let explain_cmd =
           refuting it, prefixed with the physical plan the per-repair \
           checks execute (cost-based join order, access paths, estimated \
           vs. actual cardinalities).")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ query_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg None $ query_arg)
 
 let plan_cmd =
   let query_arg =
@@ -377,14 +385,14 @@ let status_cmd =
                 of the instance file (quote the whole argument).")
   in
   let run path family tuple_text =
-    run_session ~family path [ "status " ^ tuple_text ]
+    run_session ?family path [ "status " ^ tuple_text ]
   in
   Cmd.v
     (Cmd.info "status"
        ~doc:
          "Show a tuple's conflicts, its domination situation and whether \
           the preferred repairs keep it.")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ tuple_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg None $ tuple_arg)
 
 (* --- aggregate ---------------------------------------------------------------- *)
 
@@ -395,12 +403,12 @@ let aggregate_cmd =
              ~doc:"Aggregate: count, sum:ATTR, min:ATTR or max:ATTR.")
   in
   let run path family agg_text =
-    run_session ~family path [ "aggregate " ^ agg_text ]
+    run_session ?family path [ "aggregate " ^ agg_text ]
   in
   Cmd.v
     (Cmd.info "aggregate"
        ~doc:"Range-consistent answer to a scalar aggregation query.")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ agg_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg None $ agg_arg)
 
 (* --- update ------------------------------------------------------------------ *)
 
@@ -427,7 +435,7 @@ let update_cmd =
     if inserts = [] && deletes = [] then
       fail "nothing to do (use --insert/--delete)"
     else
-      run_session ~family path
+      run_session ?family path
         (List.map (( ^ ) "delete ") deletes
         @ List.map (( ^ ) "insert ") inserts
         @ [ "count" ]
@@ -442,7 +450,7 @@ let update_cmd =
           each update's work report shows what was dirtied, evicted and \
           retained — then count the preferred repairs.")
     Term.(
-      const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ insert_arg
+      const (with_jobs run) $ jobs_arg $ file_arg $ family_arg None $ insert_arg
       $ delete_arg $ save_arg $ trace_out_arg)
 
 (* --- shell ------------------------------------------------------------------- *)
@@ -501,7 +509,7 @@ let profile_cmd =
   in
   let run path family qtext trace_out =
     with_trace trace_out @@ fun () ->
-    run_session ~family path [ "profile " ^ qtext ]
+    run_session ?family path [ "profile " ^ qtext ]
   in
   Cmd.v
     (Cmd.info "profile"
@@ -511,7 +519,7 @@ let profile_cmd =
           taken (ground clause engine, deviation scan or full product), \
           with counter deltas attached to each span, and the wall time \
           the spans cover.")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg $ query_arg $ trace_out_arg)
+    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ family_arg None $ query_arg $ trace_out_arg)
 
 (* --- validate-trace ----------------------------------------------------------- *)
 
@@ -911,22 +919,7 @@ let validate_slowlog_cmd =
           together or not at all. Exits non-zero on violation.")
     Term.(const (with_jobs run) $ jobs_arg $ log_file_arg)
 
-(* --- hyper: denial-constraint CQA over the hyperedge substrate ----------------- *)
-
-module Hfamily = Core.Hfamily
-
-let hfamily_arg =
-  let parse s =
-    match Hfamily.name_of_string s with
-    | Some f -> Ok f
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown family %S (use rep|pareto|global)" s))
-  in
-  Arg.(value & opt (conv (parse, Hfamily.pp_name)) Hfamily.Rep
-       & info [ "f"; "family" ] ~docv:"FAMILY"
-           ~doc:
-             "Preferred-repair family on the hyperedge substrate: rep, \
-              pareto or global (default rep).")
+(* --- hyper: the conflict hypergraph, and aliases with rep as default -------- *)
 
 let hyper_info_cmd =
   let run path = run_session path [ "hyper info" ] in
@@ -937,87 +930,16 @@ let hyper_info_cmd =
           hypergraph they induce: hyperedges, oriented pairs, components.")
     Term.(const (with_jobs run) $ jobs_arg $ file_arg)
 
-(* The session's [hyper SUB FAM ARG] line. *)
-let hyper_line sub family arg =
-  String.concat " " [ "hyper"; sub; Hfamily.name_to_string family; arg ]
-
-let hyper_count_cmd =
-  let run path family trace_out =
-    with_trace trace_out @@ fun () ->
-    run_session path [ hyper_line "count" family "" ]
-  in
-  Cmd.v
-    (Cmd.info "count"
-       ~doc:
-         "Count the preferred repairs of the denial-constraint instance \
-          (component-factorized on the hypergraph).")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ hfamily_arg $ trace_out_arg)
-
-let hyper_repairs_cmd =
-  let run path family limit =
-    run_session path [ hyper_line "repairs" family (string_of_int limit) ]
-  in
-  Cmd.v
-    (Cmd.info "repairs"
-       ~doc:
-         "Enumerate the preferred repairs (maximal independent sets of \
-          the conflict hypergraph surviving the family's filter).")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ hfamily_arg $ limit_arg)
-
-let hyper_check_cmd =
-  let candidate_arg =
-    Arg.(required & pos 1 (some file) None
-         & info [] ~docv:"CANDIDATE"
-             ~doc:"Instance file holding the candidate repair (same schema).")
-  in
-  let run path candidate family =
-    match Result.bind (load path) Session.hyper_context with
-    | Error e -> fail e
-    | Ok (h, p) -> (
-      match load candidate with
-      | Error e -> fail e
-      | Ok cand -> (
-        match Hfamily.check_relation family h p cand.IF.relation with
-        | exception Invalid_argument m -> fail m
-        | ok ->
-          Format.printf "%s-repair check: %s@."
-            (Hfamily.name_to_string family)
-            (if ok then "YES" else "NO");
-          if ok then 0 else 2))
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Is the candidate a preferred repair of the denial-constraint \
-          instance? Exits 0 for yes, 2 for no.")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ candidate_arg $ hfamily_arg)
-
-let hyper_query_cmd =
-  let query_arg =
-    Arg.(required & pos 1 (some string) None
-         & info [] ~docv:"QUERY" ~doc:"A closed query (shell query language).")
-  in
-  let run path family text trace_out =
-    with_trace trace_out @@ fun () ->
-    run_session path [ hyper_line "query" family text ]
-  in
-  Cmd.v
-    (Cmd.info "query"
-       ~doc:
-         "Compute the preferred consistent answer to a closed query under \
-          denial constraints (true in every preferred repair, false in \
-          every one, or ambiguous).")
-    Term.(const (with_jobs run) $ jobs_arg $ file_arg $ hfamily_arg $ query_arg
-          $ trace_out_arg)
-
 let hyper_cmd =
+  let rep = Some Family.Rep in
   Cmd.group
     (Cmd.info "hyper"
        ~doc:
-         "Denial-constraint CQA: the conflict hypergraph substrate (§6), \
-          with Pareto- and globally-optimal repair families.")
-    [ hyper_info_cmd; hyper_count_cmd; hyper_repairs_cmd; hyper_check_cmd;
-      hyper_query_cmd ]
+         "Denial-constraint CQA (§6): 'info' describes the conflict \
+          hypergraph; 'count', 'repairs', 'check' and 'query' are the \
+          top-level commands with the family defaulting to rep (pareto and \
+          global select Pareto- and globally-optimal repairs).")
+    [ hyper_info_cmd; count_cmd rep; repairs_cmd rep; check_cmd rep; query_cmd rep ]
 
 (* --- main --------------------------------------------------------------------- *)
 
@@ -1040,8 +962,8 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            info_cmd; stats_cmd; repairs_cmd; check_cmd; count_cmd; clean_cmd;
-            query_cmd; explain_cmd; plan_cmd; status_cmd; facts_cmd; aggregate_cmd;
+            info_cmd; stats_cmd; repairs_cmd None; check_cmd None; count_cmd None;
+            clean_cmd; query_cmd None; explain_cmd; plan_cmd; status_cmd; facts_cmd; aggregate_cmd;
             update_cmd; shell_cmd; profile_cmd; validate_trace_cmd;
             validate_slowlog_cmd; init_cmd; serve_cmd; metrics_cmd; hyper_cmd;
           ]))

@@ -15,8 +15,8 @@ let name_of_string s =
   match String.lowercase_ascii s with
   | "rep" -> Some Rep
   | "l" | "l-rep" | "lrep" -> Some L
-  | "s" | "s-rep" | "srep" -> Some S
-  | "g" | "g-rep" | "grep" -> Some G
+  | "s" | "s-rep" | "srep" | "pareto" -> Some S
+  | "g" | "g-rep" | "grep" | "global" -> Some G
   | "c" | "c-rep" | "crep" -> Some C
   | _ -> None
 

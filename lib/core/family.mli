@@ -17,6 +17,10 @@ val all_names : name list
 
 val name_to_string : name -> string
 val name_of_string : string -> name option
+(** Also accepts [pareto] for [S] and [global] for [G]: on binary
+    conflicts Pareto- and globally-optimal repairs (arXiv:0908.0464)
+    are exactly S- and G-Rep, so the two families share one name
+    space. *)
 
 val repairs : name -> Conflict.t -> Priority.t -> Vset.t list
 (** The preferred repairs X-Rep≻F(r), sorted. Enumerative: exponential in

@@ -354,8 +354,9 @@ let server_status store =
    checkpointing, lifecycle, metrics and server status are the store's
    business, not the interpreter's. [load] is rejected — in serve mode
    the store owns the instance, and swapping it out from under the log
-   would desynchronize snapshot and journal. *)
-let handle store session line =
+   would desynchronize snapshot and journal. [json] is the request's
+   framing: structured fields that cost work are built only for it. *)
+let handle ~json store session line =
   match first_word line with
   | "ping" -> (session, reply true "pong")
   | "shutdown" -> (session, reply true "shutting down" ~stop:true)
@@ -366,7 +367,7 @@ let handle store session line =
     ( session,
       reply true
         (Obs.Registry.render ())
-        ~extra:[ ("metrics", Obs.Registry.to_json ()) ] )
+        ~extra:(if json then [ ("metrics", Obs.Registry.to_json ()) ] else []) )
   | "status" when rest_of line = "" ->
     let text, json = server_status store in
     (session, reply true text ~extra:[ ("status", json) ])
@@ -394,12 +395,13 @@ let handle store session line =
   | _ ->
     let session, out = Session.exec session line in
     let ok = not (Session.is_error_output out) in
-    (* [plan]/[explain] responses also carry the physical plan as a
-       structured "plan" field, so JSON clients need not parse the
-       rendered tree *)
+    (* JSON-framed [plan]/[explain] responses also carry the physical
+       plan as a structured "plan" field, so JSON clients need not parse
+       the rendered tree (it re-runs the planner, so text-framed requests
+       skip it) *)
     let extra =
       match first_word line with
-      | ("plan" | "explain") when ok -> (
+      | ("plan" | "explain") when ok && json -> (
         match Session.plan_json session (rest_of line) with
         | Ok j -> [ ("plan", j) ]
         | Error _ -> [])
@@ -454,7 +456,7 @@ let handle_request config ~dir store session raw =
     let run () =
       Obs.Span.with_span "serve.request"
         ~args:[ ("cmd", Obs.Event.Str cmd) ]
-        (fun () -> handle store session line)
+        (fun () -> handle ~json store session line)
     in
     let (session, r), events =
       Fun.protect

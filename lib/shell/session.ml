@@ -7,21 +7,50 @@ type event =
   | Undone
   | Preferred of IF.pref
 
+(* The hyperedge context of a spec: the hypergraph of its declared
+   denials plus its FDs in denial form, the priority over it, and the
+   decomposition whose component-repair cache serves every command until
+   the spec changes. *)
+type hyper = {
+  h : Core.Hyper.t;
+  hp : Core.Hpriority.t;
+  hd : Core.Hdecompose.t;
+}
+
+(* A loaded spec and what is built from it. *)
+type instance = {
+  spec : IF.spec;
+  engine : (Core.Delta.t, string) result;
+      (* the incremental engine: it owns the relation, the undo history
+         and the journal on every spec, and answers the repair commands
+         when the spec declares no denials; [Error] when the preferences
+         do not induce a valid priority *)
+  hyper : (hyper, string) result Lazy.t;
+      (* answers the repair commands when the spec declares denials;
+         built on first use, replaced with every new spec *)
+}
+
 type state = {
-  spec : IF.spec option;
-  family : Family.name;
-  engine : Core.Delta.t option;
-      (* the incremental engine backing the loaded spec; [None] when no
-         instance is loaded or its preferences don't induce a valid
-         priority (commands then fall back to the rebuild path, which
-         reports the error) *)
+  inst : instance option;
+  family : Family.name option;  (* [None]: the spec's default *)
   observer : (event -> (unit, string) result) option;
       (* mutation hook — the serve loop's write-ahead-log append point *)
 }
 
-let initial = { spec = None; family = Family.C; engine = None; observer = None }
-let family st = st.family
-let loaded st = st.spec
+let initial = { inst = None; family = None; observer = None }
+let declares_denials spec = spec.IF.denials <> []
+
+(* C-Rep on the FD graph, as the paper's algorithms default; Rep on
+   denial constraints, where C-Rep has no counterpart. *)
+let default_family spec = if declares_denials spec then Family.Rep else Family.C
+
+let family st =
+  match (st.family, st.inst) with
+  | Some f, _ -> f
+  | None, Some i -> default_family i.spec
+  | None, None -> Family.C
+
+let loaded st = Option.map (fun i -> i.spec) st.inst
 let set_observer st f = { st with observer = Some f }
 
 (* The observer is the durability gate: a mutation is committed to the
@@ -33,12 +62,17 @@ let notify st ev =
   match st.observer with None -> Ok () | Some f -> f ev
 
 let drop_undo_history st =
-  match st.engine with None -> () | Some eng -> Core.Delta.drop_history eng
+  match st.inst with
+  | Some { engine = Ok eng; _ } -> Core.Delta.drop_history eng
+  | _ -> ()
 
 let help_text =
   "commands:\n\
   \  load FILE            load an instance file\n\
-  \  family rep|l|s|g|c   select the preferred-repair family\n\
+  \  family FAM           select the preferred-repair family:\n\
+  \                       rep|l|s|g|c, pareto (= s), global (= g);\n\
+  \                       default c, or rep when the instance declares\n\
+  \                       denials (which allow rep|pareto|global only)\n\
   \  jobs [N]             show or set the domain count for parallel\n\
   \                       evaluation (1 = sequential)\n\
   \  info                 schema, constraints, conflicts\n\
@@ -65,74 +99,147 @@ let help_text =
   \  prefer DECL          add a preference (as in the file format)\n\
   \  denials              list the denial constraints in force\n\
   \  hyper [info]         the conflict hypergraph: edges, components\n\
-  \  hyper count [FAM]    count preferred repairs on the hyperedge\n\
-  \                       substrate (FAM: rep|pareto|global)\n\
-  \  hyper repairs [FAM] [N]   enumerate (at most N) hyper repairs\n\
-  \  hyper query [FAM] Q  certain answer under denial constraints\n\
+  \  hyper count|repairs|query [FAM] ...\n\
+  \                       the command under FAM for this one request\n\
+  \                       (default rep)\n\
   \  save FILE            write the instance and preferences back out\n\
   \  metrics              process metrics in Prometheus text format\n\
   \  help                 this text\n\
-  \  quit                 leave"
+  \  quit                 leave\n\
+   On an instance declaring denials, repairs, count, facts, query,\n\
+   profile and aggregate answer on the conflict hypergraph; stats,\n\
+   clean, trace, qtrace, explain and status need an FD-only instance."
 
-(* Build the binary evaluation context of the loaded instance: the
-   conflict graph of its FDs, oriented by its preferences. *)
-let fd_context spec =
-  let c = Core.Conflict.build spec.IF.fds spec.IF.relation in
-  match IF.to_rule spec with
-  | Error e -> Error e
-  | Ok rule -> (
-    match Core.Pref_rules.apply c rule with
-    | Error e -> Error e
-    | Ok p -> Ok (c, p))
+(* The denial constraints in force: the spec's own [denial] declarations
+   followed by its FDs compiled to denial form. *)
+let compiled_fds spec =
+  let schema = Relation.schema spec.IF.relation in
+  List.concat_map (Constraints.Denial.of_fd schema) spec.IF.fds
+
+let denials_of spec = spec.IF.denials @ compiled_fds spec
 
 let build_engine spec =
   match IF.to_rule spec with
   | Error e -> Error e
   | Ok rule -> Core.Delta.create ~rule spec.IF.fds spec.IF.relation
 
+let build_hyper spec =
+  match Core.Hyper.build (denials_of spec) spec.IF.relation with
+  | exception Invalid_argument m -> Error m
+  | h -> (
+    match Result.bind (IF.to_rule spec) (Core.Hpriority.of_rule h) with
+    | Error e -> Error e
+    | Ok hp -> Ok { h; hp; hd = Core.Hdecompose.make h hp })
+
+let instance spec engine = { spec; engine; hyper = lazy (build_hyper spec) }
+
 (* A session over an already-recovered spec — the serve loop's entry
    point, where the store (not a [load] command) owns the instance. *)
 let of_spec ?engine spec =
-  let engine =
-    match engine with
-    | Some _ as e -> e
-    | None -> ( match build_engine spec with Ok e -> Some e | Error _ -> None)
-  in
-  { initial with spec = Some spec; engine }
+  let engine = match engine with Some e -> Ok e | None -> build_engine spec in
+  { initial with inst = Some (instance spec engine) }
 
-(* The binary conflict graph is built from the FDs alone, so a spec
-   that declares denials would be answered as if they did not exist. *)
-let denials_declared =
-  "the instance declares denial constraints, which the FD conflict graph \
-   ignores (use: hyper count|repairs|query)"
+(* --- the repair questions, on the spec's substrate ------------------------ *)
 
-let context spec =
-  if spec.IF.denials <> [] then Error denials_declared else fd_context spec
+(* One (substrate, family) pair: what the repair commands ask, answered
+   through that substrate's sharded engine. *)
+type answers = {
+  label : string;
+  count : unit -> int;
+  components : unit -> int;
+  pp_repairs : limit:int -> Format.formatter -> unit;
+  live : unit -> Graphs.Vset.t;
+  tuple : int -> Tuple.t;
+  certain : unit -> Graphs.Vset.t;
+  possible : unit -> Graphs.Vset.t;
+  certainty : Query.Ast.t -> Core.Cqa.certainty;
+  open_answers : Query.Ast.t -> string list * Value.t list list;
+  aggregate : Core.Aggregate.agg -> (Core.Aggregate.range, string) result;
+  check : Relation.t -> bool;
+}
+
+let binary_answers fam eng =
+  let module D = Core.Decompose in
+  let d = Core.Delta.decompose eng and c = Core.Delta.conflict eng in
+  {
+    label = Family.name_to_string fam;
+    count = (fun () -> D.count fam d);
+    components = (fun () -> D.component_count d);
+    pp_repairs = D.pp_repairs fam d;
+    live = (fun () -> Core.Conflict.live c);
+    tuple = Core.Conflict.tuple c;
+    certain = (fun () -> D.certain_tuples fam d);
+    possible = (fun () -> D.possible_tuples fam d);
+    certainty = D.certainty fam d;
+    open_answers = D.consistent_answers_open fam d;
+    aggregate = D.aggregate_range fam d;
+    check = Family.check_relation fam c (Core.Delta.priority eng);
+  }
+
+let hyper_answers fam { h; hp; hd } =
+  let module D = Core.Hdecompose in
+  {
+    label = Core.Hfamily.name_to_string fam;
+    count = (fun () -> D.count fam hd);
+    components = (fun () -> D.component_count hd);
+    pp_repairs = D.pp_repairs fam hd;
+    live = (fun () -> Core.Hyper.live h);
+    tuple = Core.Hyper.tuple h;
+    certain = (fun () -> D.certain_tuples fam hd);
+    possible = (fun () -> D.possible_tuples fam hd);
+    certainty = D.certainty fam hd;
+    open_answers = D.consistent_answers_open fam hd;
+    aggregate = D.aggregate_range fam hd;
+    check = Core.Hfamily.check_relation fam h hp;
+  }
+
+(* Pareto- and globally-optimal repairs generalize S- and G-Rep to
+   conflict hypergraphs (on binary conflicts they coincide); L- and
+   C-Rep have no hyperedge counterpart. *)
+let hyper_family = function
+  | Family.Rep -> Ok Core.Hfamily.Rep
+  | Family.S -> Ok Core.Hfamily.Pareto
+  | Family.G -> Ok Core.Hfamily.Global
+  | (Family.L | Family.C) as f ->
+    Error
+      (Printf.sprintf
+         "%s is not defined under denial constraints (use rep|pareto|global)"
+         (Family.name_to_string f))
+
+let answers_of st i =
+  if declares_denials i.spec then
+    Result.bind (hyper_family (family st)) (fun fam ->
+        Result.map (hyper_answers fam) (Lazy.force i.hyper))
+  else Result.map (binary_answers (family st)) i.engine
+
+let no_instance = "no instance loaded (use: load FILE)"
+let with_instance st k = match st.inst with None -> no_instance | Some i -> k i
+
+let with_answers st k =
+  with_instance st (fun i ->
+      match answers_of st i with Error e -> "error: " ^ e | Ok a -> k a)
 
 (* For the commands that describe the instance rather than answer over
-   its repairs ([info], [plan]): the FD context of any spec. *)
-let with_fd_context st k =
-  match st.spec with
-  | None -> "no instance loaded (use: load FILE)"
-  | Some spec -> (
-    match st.engine with
-    | Some eng -> k spec (Core.Delta.conflict eng) (Core.Delta.priority eng)
-    | None -> (
-      match fd_context spec with
-      | Error e -> "error: " ^ e
-      | Ok (c, p) -> k spec c p))
+   its repairs ([info], [plan]): the FD engine of any spec. *)
+let with_engine st k =
+  with_instance st (fun i ->
+      match i.engine with Error e -> "error: " ^ e | Ok eng -> k i.spec eng)
 
-let with_context st k =
-  match st.spec with
-  | Some spec when spec.IF.denials <> [] -> "error: " ^ denials_declared
-  | _ -> with_fd_context st k
+(* The commands defined on the binary conflict graph only: on a spec
+   that declares denials they would answer as if the denials did not
+   exist. *)
+let with_binary cmd st k =
+  match st.inst with
+  | Some i when declares_denials i.spec ->
+    Printf.sprintf
+      "error: %s runs on the FD conflict graph, which ignores the instance's \
+       denial constraints (under denials use: repairs, count, facts, query, \
+       profile, aggregate)"
+      cmd
+  | _ -> with_engine st k
 
-(* The decomposition to answer through: the engine's one accumulates its
-   component-repair cache across commands and updates. *)
-let decompose_of st c p =
-  match st.engine with
-  | Some eng -> Core.Delta.decompose eng
-  | None -> Core.Decompose.make c p
+let parsed text k =
+  match Query.Parser.parse text with Error e -> "error: " ^ e | Ok q -> k q
 
 let buffer_out k =
   let buf = Buffer.create 256 in
@@ -152,10 +259,7 @@ let cmd_load st path =
   | Error e when String.starts_with ~prefix:path e -> (st, "error: " ^ e)
   | Error e -> (st, Printf.sprintf "error: %s: %s" path e)
   | Ok spec ->
-    let engine =
-      match build_engine spec with Ok e -> Some e | Error _ -> None
-    in
-    ( { st with spec = Some spec; engine },
+    ( { st with inst = Some (instance spec (build_engine spec)) },
       Printf.sprintf "loaded %s: %d tuples, %d fd(s), %d preference(s)%s" path
         (Relation.cardinality spec.IF.relation)
         (List.length spec.IF.fds)
@@ -166,11 +270,19 @@ let cmd_load st path =
 
 let cmd_family st name =
   match Family.name_of_string name with
-  | Some f -> ({ st with family = f }, "family: " ^ Family.name_to_string f)
-  | None -> (st, Printf.sprintf "unknown family %S (use rep|l|s|g|c)" name)
+  | None ->
+    ( st,
+      Printf.sprintf "unknown family %S (use rep|l|s|g|c|pareto|global)" name )
+  | Some f ->
+    let label =
+      match (st.inst, hyper_family f) with
+      | Some i, Ok hf when declares_denials i.spec -> Core.Hfamily.name_to_string hf
+      | _ -> Family.name_to_string f
+    in
+    ({ st with family = Some f }, "family: " ^ label)
 
 let cmd_info st =
-  with_fd_context st (fun spec c p ->
+  with_engine st (fun spec eng ->
       buffer_out (fun ppf ->
           let schema = Relation.schema spec.IF.relation in
           Format.fprintf ppf "relation: %a@." Schema.pp schema;
@@ -186,59 +298,45 @@ let cmd_info st =
                   (fun k -> "{" ^ String.concat " " k ^ "}")
                   (Constraints.Fd.candidate_keys schema spec.IF.fds)));
           Format.fprintf ppf "conflicts: %d (%d oriented)@."
-            (List.length (Core.Conflict.conflict_pairs c))
-            (Core.Priority.arc_count p);
+            (List.length (Core.Conflict.conflict_pairs (Core.Delta.conflict eng)))
+            (Core.Priority.arc_count (Core.Delta.priority eng));
           Format.fprintf ppf "BCNF:     %b"
             (Constraints.Fd.is_bcnf schema spec.IF.fds)))
 
-let cmd_repairs st limit =
-  with_context st (fun _spec c p ->
-      buffer_out
-        (Core.Decompose.pp_repairs st.family (decompose_of st c p) ~limit))
+let cmd_repairs st limit = with_answers st (fun a -> buffer_out (a.pp_repairs ~limit))
 
 let cmd_count st =
-  with_context st (fun _spec c p ->
-      let d = decompose_of st c p in
-      Printf.sprintf "%s: %d preferred repair(s) across %d component(s)"
-        (Family.name_to_string st.family)
-        (Core.Decompose.count st.family d)
-        (Core.Decompose.component_count d))
+  with_answers st (fun a ->
+      Printf.sprintf "%s: %d preferred repair(s) across %d component(s)" a.label
+        (a.count ()) (a.components ()))
 
 let cmd_facts st =
-  with_context st (fun _spec c p ->
-      let d = decompose_of st c p in
-      let certain = Core.Decompose.certain_tuples st.family d in
-      let possible = Core.Decompose.possible_tuples st.family d in
-      let all = Core.Conflict.live c in
+  with_answers st (fun a ->
+      let certain = a.certain () and possible = a.possible () in
       buffer_out (fun ppf ->
           let show label s =
             Format.fprintf ppf "%s (%d):@." label (Graphs.Vset.cardinal s);
-            Graphs.Vset.iter
-              (fun v -> Format.fprintf ppf "  %a@." Tuple.pp (Core.Conflict.tuple c v))
-              s
+            Graphs.Vset.iter (fun v -> Format.fprintf ppf "  %a@." Tuple.pp (a.tuple v)) s
           in
           show "certain" certain;
           show "disputed" (Graphs.Vset.diff possible certain);
-          show "excluded" (Graphs.Vset.diff all possible)))
+          show "excluded" (Graphs.Vset.diff (a.live ()) possible)))
 
 let cmd_stats st =
-  with_context st (fun spec c p ->
+  with_binary "stats" st (fun _spec eng ->
       buffer_out (fun ppf ->
           Format.fprintf ppf "%a@." Core.Stats.pp
-            (Core.Stats.compute_with st.family (decompose_of st c p));
+            (Core.Stats.compute_with (family st) (Core.Delta.decompose eng));
           (* column statistics feed the query planner's cost model; the
              engine's copy is patched in place by every update batch, so
              its scan/patch counters double as the invalidation log *)
-          let cs =
-            match st.engine with
-            | Some eng -> Core.Delta.column_stats eng
-            | None -> Planner.Stats.scan spec.IF.relation
-          in
-          Format.fprintf ppf "%a" Planner.Stats.pp cs))
+          Format.fprintf ppf "%a" Planner.Stats.pp (Core.Delta.column_stats eng)))
 
 let cmd_clean st =
-  with_context st (fun _spec c p ->
-      let report = Core.Clean.run_with_priority c p in
+  with_binary "clean" st (fun _spec eng ->
+      let report =
+        Core.Clean.run_with_priority (Core.Delta.conflict eng) (Core.Delta.priority eng)
+      in
       buffer_out (fun ppf ->
           Format.fprintf ppf "%a@." Core.Clean.pp_report report;
           Relation.iter
@@ -246,21 +344,21 @@ let cmd_clean st =
             report.Core.Clean.cleaned))
 
 let cmd_trace st =
-  with_context st (fun _spec c p ->
+  with_binary "trace" st (fun _spec eng ->
+      let c = Core.Delta.conflict eng in
       buffer_out (fun ppf ->
-          Format.fprintf ppf "%a" (Core.Trace.pp c) (Core.Trace.clean c p)))
+          Format.fprintf ppf "%a" (Core.Trace.pp c)
+            (Core.Trace.clean c (Core.Delta.priority eng))))
 
 (* All query routes go through the component decomposition: ground
    queries hit the clause engine, quantified ones the deviation-scan
    streaming — both exponential only in the largest component. A closed
    query gets its verdict, an open one its certain bindings. *)
-let answer st d q =
+let answer a q =
   if Query.Ast.is_closed q then
-    Printf.sprintf "%s: %s"
-      (Family.name_to_string st.family)
-      (Core.Cqa.certainty_to_string (Core.Decompose.certainty st.family d q))
+    Printf.sprintf "%s: %s" a.label (Core.Cqa.certainty_to_string (a.certainty q))
   else begin
-    let free, rows = Core.Decompose.consistent_answers_open st.family d q in
+    let free, rows = a.open_answers q in
     buffer_out (fun ppf ->
         Format.fprintf ppf "certain answers (%s):@." (String.concat ", " free);
         List.iter
@@ -271,22 +369,16 @@ let answer st d q =
         Format.fprintf ppf "%d certain answer(s)" (List.length rows))
   end
 
-let with_query st text k =
-  with_context st (fun _spec c p ->
-      match Query.Parser.parse text with
-      | Error e -> "error: " ^ e
-      | Ok q -> k (decompose_of st c p) q)
-
-let cmd_query st text = with_query st text (answer st)
+let cmd_query st text = with_answers st (fun a -> parsed text (answer a))
 
 let cmd_qtrace st text =
-  with_query st text (fun d q ->
-      if not (Query.Ast.is_closed q) then
-        "error: qtrace requires a closed query"
-      else
-        buffer_out (fun ppf ->
-            Format.fprintf ppf "%a" Core.Trace.pp_cqa
-              (Core.Trace.certainty st.family d q)))
+  with_binary "qtrace" st (fun _spec eng ->
+      parsed text (fun q ->
+          if not (Query.Ast.is_closed q) then "error: qtrace requires a closed query"
+          else
+            buffer_out (fun ppf ->
+                Format.fprintf ppf "%a" Core.Trace.pp_cqa
+                  (Core.Trace.certainty (family st) (Core.Delta.decompose eng) q))))
 
 let pp_seconds ppf s =
   if s < 1e-3 then Format.fprintf ppf "%.2f us" (s *. 1e6)
@@ -299,99 +391,87 @@ let pp_seconds ppf s =
    brackets the measured work, so the tree accounts for (almost) all of
    the wall time the footer reports. *)
 let cmd_profile st text =
-  with_query st text (fun d q ->
-      if not (Query.Ast.is_closed q) then
-        "error: profile requires a closed query"
-      else begin
-        let buf = Obs.Sink.Memory.create () in
-        let local = Obs.Sink.Memory.sink buf in
-        let outer = Obs.Span.sink () in
-        let sink =
-          match outer with None -> local | Some s -> Obs.Sink.tee local s
-        in
-        Obs.Span.set_sink (Some sink);
-        let t0 = Unix.gettimeofday () in
-        let verdict =
-          Fun.protect
-            ~finally:(fun () -> Obs.Span.set_sink outer)
-            (fun () -> Obs.Span.with_span "profile" (fun () -> answer st d q))
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        let events = Obs.Sink.Memory.events buf in
-        let nodes = Obs.Profile.tree events in
-        buffer_out (fun ppf ->
-            Format.fprintf ppf "%s@.%a" verdict Obs.Profile.pp nodes;
-            Format.fprintf ppf "wall time %a; spans cover %.1f%% (%d event(s))"
-              pp_seconds wall
-              (if wall > 0. then 100. *. Obs.Profile.total nodes /. wall
-               else 100.)
-              (List.length events))
-      end)
+  with_answers st (fun a ->
+      parsed text (fun q ->
+          if not (Query.Ast.is_closed q) then
+            "error: profile requires a closed query"
+          else begin
+            let buf = Obs.Sink.Memory.create () in
+            let local = Obs.Sink.Memory.sink buf in
+            let outer = Obs.Span.sink () in
+            let sink =
+              match outer with None -> local | Some s -> Obs.Sink.tee local s
+            in
+            Obs.Span.set_sink (Some sink);
+            let t0 = Unix.gettimeofday () in
+            let verdict =
+              Fun.protect
+                ~finally:(fun () -> Obs.Span.set_sink outer)
+                (fun () -> Obs.Span.with_span "profile" (fun () -> answer a q))
+            in
+            let wall = Unix.gettimeofday () -. t0 in
+            let events = Obs.Sink.Memory.events buf in
+            let nodes = Obs.Profile.tree events in
+            buffer_out (fun ppf ->
+                Format.fprintf ppf "%s@.%a" verdict Obs.Profile.pp nodes;
+                Format.fprintf ppf "wall time %a; spans cover %.1f%% (%d event(s))"
+                  pp_seconds wall
+                  (if wall > 0. then 100. *. Obs.Profile.total nodes /. wall
+                   else 100.)
+                  (List.length events))
+          end))
 
 (* The planner's view of the loaded instance: the (dirty) relation as a
    one-relation database, costed with the engine's incrementally patched
-   column statistics when an engine is live. *)
-let planner_db spec = Database.of_relations [ spec.IF.relation ]
+   column statistics. *)
+let planner_report spec eng q =
+  Planner.Explain.run ~stats:(Core.Delta.stats_lookup eng)
+    (Database.of_relations [ spec.IF.relation ])
+    q
 
-let stats_of st =
-  match st.engine with
-  | Some eng -> Some (Core.Delta.stats_lookup eng)
-  | None -> None
-
-let planner_report st spec q =
-  Planner.Explain.run ?stats:(stats_of st) (planner_db spec) q
-
-let cmd_plan st text =
-  with_fd_context st (fun spec _c _p ->
-      match Query.Parser.parse text with
-      | Error e -> "error: " ^ e
-      | Ok q -> (
-        match planner_report st spec q with
-        | report -> buffer_out (fun ppf -> Planner.Explain.pp ppf report)
-        | exception Invalid_argument m -> "error: " ^ m))
-
-let plan_json st text =
-  match st.spec with
-  | None -> Error "no instance loaded (use: load FILE)"
-  | Some spec -> (
+let planner_run st text =
+  match st.inst with
+  | None -> Error no_instance
+  | Some { engine = Error e; _ } -> Error e
+  | Some { spec; engine = Ok eng; _ } -> (
     match Query.Parser.parse text with
     | Error e -> Error e
     | Ok q -> (
-      match planner_report st spec q with
-      | report -> Ok (Planner.Explain.to_json report)
+      match planner_report spec eng q with
+      | report -> Ok report
       | exception Invalid_argument m -> Error m))
+
+let cmd_plan st text =
+  with_instance st (fun _ ->
+      match planner_run st text with
+      | Ok report -> buffer_out (fun ppf -> Planner.Explain.pp ppf report)
+      | Error e -> "error: " ^ e)
+
+let plan_json st text = Result.map Planner.Explain.to_json (planner_run st text)
 
 (* One planner run rendered both ways — the slow-query log wants the
    text and the JSON of the same report without executing twice. *)
 let explain_report st text =
-  match st.spec with
-  | None -> Error "no instance loaded (use: load FILE)"
-  | Some spec -> (
-    match Query.Parser.parse text with
-    | Error e -> Error e
-    | Ok q -> (
-      match planner_report st spec q with
-      | report ->
-        Ok
-          ( buffer_out (fun ppf -> Planner.Explain.pp ppf report),
-            Planner.Explain.to_json report )
-      | exception Invalid_argument m -> Error m))
+  Result.map
+    (fun report ->
+      ( buffer_out (fun ppf -> Planner.Explain.pp ppf report),
+        Planner.Explain.to_json report ))
+    (planner_run st text)
 
 let cmd_explain st text =
-  with_context st (fun spec c p ->
-      match Query.Parser.parse text with
-      | Error e -> "error: " ^ e
-      | Ok q ->
-        if not (Query.Ast.is_closed q) then "error: explain requires a closed query"
-        else
-          buffer_out (fun ppf ->
-              (* the plan every per-repair certainty check executes,
-                 shown over the current instance *)
-              Format.fprintf ppf "%a@." Planner.Explain.pp_plan_only
-                (planner_report st spec q);
-              Format.fprintf ppf "%a"
-                (Core.Explain.pp_verdict c)
-                (Core.Explain.query st.family c p q)))
+  with_binary "explain" st (fun spec eng ->
+      parsed text (fun q ->
+          if not (Query.Ast.is_closed q) then "error: explain requires a closed query"
+          else
+            let c = Core.Delta.conflict eng and p = Core.Delta.priority eng in
+            buffer_out (fun ppf ->
+                (* the plan every per-repair certainty check executes,
+                   shown over the current instance *)
+                Format.fprintf ppf "%a@." Planner.Explain.pp_plan_only
+                  (planner_report spec eng q);
+                Format.fprintf ppf "%a"
+                  (Core.Explain.pp_verdict c)
+                  (Core.Explain.query (family st) c p q))))
 
 (* Parse VALUES against the loaded schema by round-tripping a one-tuple
    instance document — shared by [status], [insert] and [delete]. *)
@@ -416,18 +496,21 @@ let parse_tuple spec values =
     | _ -> Error "expected exactly one tuple")
 
 let cmd_status st values =
-  with_context st (fun spec c p ->
+  with_binary "status" st (fun spec eng ->
       match parse_tuple spec values with
       | Error e -> "error: " ^ e
       | Ok t -> (
-        match Core.Explain.tuple_status st.family c p t with
+        match
+          Core.Explain.tuple_status (family st) (Core.Delta.conflict eng)
+            (Core.Delta.priority eng) t
+        with
         | status ->
           buffer_out (fun ppf ->
               Format.fprintf ppf "%a" Core.Explain.pp_tuple_status status)
         | exception Invalid_argument m -> "error: " ^ m))
 
 let cmd_aggregate st spec_text =
-  with_context st (fun _spec c p ->
+  with_answers st (fun a ->
       let agg =
         match String.split_on_char ':' spec_text with
         | [ "count" ] -> Ok Core.Aggregate.Count_all
@@ -439,59 +522,62 @@ let cmd_aggregate st spec_text =
       match agg with
       | Error e -> "error: " ^ e
       | Ok agg -> (
-        match Core.Decompose.aggregate_range st.family (decompose_of st c p) agg with
+        match a.aggregate agg with
         | Error e -> "error: " ^ e
         | Ok r ->
           buffer_out (fun ppf ->
               Format.fprintf ppf "%s over %s repairs: %a"
                 (Core.Aggregate.agg_to_string agg)
-                (Family.name_to_string st.family)
-                Core.Aggregate.pp_range r)))
+                a.label Core.Aggregate.pp_range r)))
+
+let check st candidate =
+  match st.inst with
+  | None -> Error no_instance
+  | Some i -> (
+    match answers_of st i with
+    | Error e -> Error e
+    | Ok a -> (
+      match a.check candidate with
+      | ok -> Ok (a.label, ok)
+      | exception Invalid_argument m -> Error m))
 
 (* After an engine update, keep the stored spec's relation in sync so
-   [save]/[info]/[prefer] see the current instance. *)
-let sync_spec st eng =
-  match st.spec with
-  | None -> st
-  | Some spec ->
-    { st with spec = Some { spec with IF.relation = Core.Delta.relation eng } }
+   [save]/[info]/[prefer] see the current instance, and drop the
+   hyperedge context built over the old one. *)
+let sync_spec st i eng =
+  let spec = { i.spec with IF.relation = Core.Delta.relation eng } in
+  { st with inst = Some (instance spec i.engine) }
 
 let cmd_update st mk values =
-  match st.spec with
-  | None -> (st, "no instance loaded (use: load FILE)")
-  | Some spec -> (
-    match st.engine with
-    | None ->
-      ( st,
-        "error: updates need a valid preference context (fix the \
-         preferences first)" )
-    | Some eng -> (
-      match parse_tuple spec values with
+  match st.inst with
+  | None -> (st, no_instance)
+  | Some { engine = Error e; _ } -> (st, "error: " ^ e)
+  | Some ({ engine = Ok eng; _ } as i) -> (
+    match parse_tuple i.spec values with
+    | Error e -> (st, "error: " ^ e)
+    | Ok t -> (
+      let ops = mk t in
+      match Core.Delta.apply eng ops with
       | Error e -> (st, "error: " ^ e)
-      | Ok t -> (
-        let ops = mk t in
-        match Core.Delta.apply eng ops with
-        | Error e -> (st, "error: " ^ e)
-        | Ok report -> (
-          match notify st (Updated ops) with
-          | Ok () ->
-            ( sync_spec st eng,
-              buffer_out (fun ppf -> Core.Delta.pp_report ppf report) )
-          | Error e ->
-            (* journaling failed: revert the batch we just applied so
-               the session keeps matching what the journal replays (the
-               inverse of an accepted batch always applies) *)
-            ignore (Core.Delta.undo eng);
-            (st, "error: not journaled (change rolled back): " ^ e)))))
+      | Ok report -> (
+        match notify st (Updated ops) with
+        | Ok () ->
+          (sync_spec st i eng, buffer_out (fun ppf -> Core.Delta.pp_report ppf report))
+        | Error e ->
+          (* journaling failed: revert the batch we just applied so
+             the session keeps matching what the journal replays (the
+             inverse of an accepted batch always applies) *)
+          ignore (Core.Delta.undo eng);
+          (st, "error: not journaled (change rolled back): " ^ e))))
 
 let cmd_insert st values = cmd_update st (fun t -> [ Core.Delta.Insert t ]) values
 let cmd_delete st values = cmd_update st (fun t -> [ Core.Delta.Delete t ]) values
 
 let cmd_undo st =
-  match (st.spec, st.engine) with
-  | None, _ -> (st, "no instance loaded (use: load FILE)")
-  | Some _, None -> (st, "error: nothing to undo")
-  | Some _, Some eng ->
+  match st.inst with
+  | None -> (st, no_instance)
+  | Some { engine = Error e; _ } -> (st, "error: " ^ e)
+  | Some ({ engine = Ok eng; _ } as i) ->
     if Core.Delta.history_depth eng = 0 then (st, "error: nothing to undo")
     else (
       (* journal before undoing: whether an undo is replayable depends
@@ -504,45 +590,39 @@ let cmd_undo st =
         match Core.Delta.undo eng with
         | Error e -> (st, "error: " ^ e)
         | Ok report ->
-          ( sync_spec st eng,
-            buffer_out (fun ppf -> Core.Delta.pp_report ppf report) )))
+          (sync_spec st i eng, buffer_out (fun ppf -> Core.Delta.pp_report ppf report))))
 
 let cmd_prefer st body =
-  match st.spec with
-  | None -> (st, "no instance loaded (use: load FILE)")
-  | Some spec -> (
+  match st.inst with
+  | None -> (st, no_instance)
+  | Some i -> (
     match IF.parse_pref body with
     | Error e -> (st, "error: " ^ e)
     | Ok pref -> (
-      let spec' = { spec with IF.prefs = spec.IF.prefs @ [ pref ] } in
-      (* reject preference sets that no longer induce a valid priority *)
-      match fd_context spec' with
+      let spec = { i.spec with IF.prefs = i.spec.IF.prefs @ [ pref ] } in
+      (* a global preference change invalidates every cached repair
+         list: rebuild the engine (cold cache, fresh history) — built
+         before journaling, committed only after, so a failed append
+         leaves the session on the old preference set. A preference set
+         that no longer induces a valid priority (on a denial spec, over
+         the hyperedges as well) is rejected. *)
+      let i' = instance spec (build_engine spec) in
+      let valid =
+        Result.bind i'.engine (fun eng ->
+            if declares_denials spec then Result.map (fun _ -> eng) (Lazy.force i'.hyper)
+            else Ok eng)
+      in
+      match valid with
       | Error e -> (st, "error: preference rejected: " ^ e)
-      | Ok (_, p) -> (
-        (* a global preference change invalidates every cached repair
-           list: rebuild the engine (cold cache, fresh history) — built
-           before journaling, committed only after, so a failed append
-           leaves the session on the old preference set *)
-        let engine =
-          match build_engine spec' with Ok e -> Some e | Error _ -> None
-        in
+      | Ok eng -> (
         match notify st (Preferred pref) with
         | Ok () ->
-          ( { st with spec = Some spec'; engine },
+          ( { st with inst = Some i' },
             Printf.sprintf "preference added (%d conflict(s) now oriented)"
-              (Core.Priority.arc_count p) )
+              (Core.Priority.arc_count (Core.Delta.priority eng)) )
         | Error e -> (st, "error: not journaled (preference dropped): " ^ e))))
 
-(* --- hyper: denial-constraint CQA over the hyperedge substrate ------------- *)
-
-(* The denial constraints in force: the spec's own [denial] declarations
-   followed by its FDs compiled to denial form, so the hyper commands
-   answer out of the box on any loaded instance. *)
-let compiled_fds spec =
-  let schema = Relation.schema spec.IF.relation in
-  List.concat_map (Constraints.Denial.of_fd schema) spec.IF.fds
-
-let denials_of spec = spec.IF.denials @ compiled_fds spec
+(* --- denials and the conflict hypergraph ------------------------------------ *)
 
 (* How many denials are in force, and a note on how many of them came
    from the FDs. *)
@@ -558,84 +638,37 @@ let pp_denials ppf spec =
     (fun dc -> Format.fprintf ppf "  %s@." (Constraints.Denial.to_string dc))
     (denials_of spec)
 
-(* The hyper context is rebuilt per command: denial CQA is the
-   analytical side door, not the serve loop's hot path, and a fresh
-   build keeps it honest against the current relation. *)
-let hyper_context spec =
-  match Core.Hyper.build (denials_of spec) spec.IF.relation with
-  | exception Invalid_argument m -> Error m
-  | h -> (
-    match IF.to_rule spec with
-    | Error e -> Error e
-    | Ok rule -> (
-      match Core.Hpriority.of_rule h rule with
-      | Error e -> Error e
-      | Ok p -> Ok (h, p)))
-
-let with_hyper st k =
-  match st.spec with
-  | None -> "no instance loaded (use: load FILE)"
-  | Some spec -> (
-    match hyper_context spec with
-    | Error e -> "error: " ^ e
-    | Ok (h, p) -> k spec h p)
-
 let cmd_denials st =
-  match st.spec with
-  | None -> "no instance loaded (use: load FILE)"
-  | Some spec ->
-    let n, note = denial_count spec in
-    buffer_out (fun ppf ->
-        Format.fprintf ppf "%d denial constraint(s)%s@.%a" n note pp_denials
-          spec)
-
-let cmd_hyper_info st =
-  with_hyper st (fun spec h p ->
-      let d = Core.Hdecompose.make h p in
-      let n, note = denial_count spec in
+  with_instance st (fun i ->
+      let n, note = denial_count i.spec in
       buffer_out (fun ppf ->
-          Format.fprintf ppf "denials:    %d%s@.%a" n note pp_denials spec;
-          Format.fprintf ppf "facts:      %d live@."
-            (Graphs.Vset.cardinal (Core.Hyper.live h));
-          Format.fprintf ppf "hyperedges: %d@."
-            (Graphs.Hypergraph.edge_count (Core.Hyper.hypergraph h));
-          Format.fprintf ppf "oriented:   %d arc(s)@."
-            (Core.Hpriority.arc_count p);
-          Format.fprintf ppf "components: %d (largest %d)@."
-            (Core.Hdecompose.component_count d)
-            (Core.Hdecompose.max_component d);
-          Format.fprintf ppf "consistent: %b" (Core.Hyper.is_consistent h)))
+          Format.fprintf ppf "%d denial constraint(s)%s@.%a" n note pp_denials i.spec))
 
-let cmd_hyper_count st fam =
-  with_hyper st (fun _spec h p ->
-      let d = Core.Hdecompose.make h p in
-      Printf.sprintf "%s: %d preferred repair(s) across %d component(s)"
-        (Core.Hfamily.name_to_string fam)
-        (Core.Hdecompose.count fam d)
-        (Core.Hdecompose.component_count d))
-
-let cmd_hyper_repairs st fam limit =
-  with_hyper st (fun _spec h p ->
-      buffer_out (Core.Hdecompose.pp_repairs fam (Core.Hdecompose.make h p) ~limit))
-
-let cmd_hyper_query st fam text =
-  with_hyper st (fun _spec h p ->
-      match Query.Parser.parse text with
+(* On an FD-only spec this is the one command that forces the hyperedge
+   context: the hypergraph of the compiled FDs. *)
+let cmd_hyper_info st =
+  with_instance st (fun i ->
+      match Lazy.force i.hyper with
       | Error e -> "error: " ^ e
-      | Ok q ->
-        if not (Query.Ast.is_closed q) then
-          "error: hyper query requires a closed query"
-        else
-          let d = Core.Hdecompose.make h p in
-          Printf.sprintf "%s: %s"
-            (Core.Hfamily.name_to_string fam)
-            (Core.Cqa.certainty_to_string (Core.Hdecompose.certainty fam d q)))
+      | Ok { h; hp; hd } ->
+        let n, note = denial_count i.spec in
+        buffer_out (fun ppf ->
+            Format.fprintf ppf "denials:    %d%s@.%a" n note pp_denials i.spec;
+            Format.fprintf ppf "facts:      %d live@."
+              (Graphs.Vset.cardinal (Core.Hyper.live h));
+            Format.fprintf ppf "hyperedges: %d@."
+              (Graphs.Hypergraph.edge_count (Core.Hyper.hypergraph h));
+            Format.fprintf ppf "oriented:   %d arc(s)@." (Core.Hpriority.arc_count hp);
+            Format.fprintf ppf "components: %d (largest %d)@."
+              (Core.Hdecompose.component_count hd)
+              (Core.Hdecompose.max_component hd);
+            Format.fprintf ppf "consistent: %b" (Core.Hyper.is_consistent h)))
 
 let cmd_save st path =
-  match st.spec with
-  | None -> (st, "no instance loaded (use: load FILE)")
-  | Some spec -> (
-    match IF.save path spec with
+  match st.inst with
+  | None -> (st, no_instance)
+  | Some i -> (
+    match IF.save path i.spec with
     | Ok () -> (st, "saved " ^ path)
     | Error m -> (st, "error: " ^ m))
 
@@ -653,32 +686,29 @@ let hyper_usage =
   "usage: hyper [info] | hyper count [FAM] | hyper repairs [FAM] [N] | hyper \
    query [FAM] Q   (FAM: rep|pareto|global; default rep)"
 
-(* An optional leading family token; everything else is the argument. *)
-let pop_hyper_family arg =
-  let tok, rest = split_command arg in
-  match Core.Hfamily.name_of_string tok with
-  | Some f -> (f, rest)
-  | None -> (Core.Hfamily.Rep, arg)
-
+(* [hyper count|repairs|query [FAM] ...] is the ordinary command under
+   FAM (default rep) for this one request. *)
 let cmd_hyper st rest =
   let sub, arg = split_command rest in
-  match (String.lowercase_ascii sub, arg) with
-  | ("" | "info"), "" -> cmd_hyper_info st
-  | "count", arg -> (
-    match pop_hyper_family arg with
-    | fam, "" -> cmd_hyper_count st fam
-    | _ -> hyper_usage)
-  | "repairs", arg -> (
-    match pop_hyper_family arg with
-    | fam, "" -> cmd_hyper_repairs st fam 20
-    | fam, n -> (
+  match String.lowercase_ascii sub with
+  | "" | "info" when arg = "" -> cmd_hyper_info st
+  | ("count" | "repairs" | "query") as sub -> (
+    let tok, after = split_command arg in
+    let fam, arg =
+      match Family.name_of_string tok with
+      | Some f -> (f, after)
+      | None -> (Family.Rep, arg)
+    in
+    let st = { st with family = Some fam } in
+    match (sub, arg) with
+    | "count", "" -> cmd_count st
+    | "repairs", "" -> cmd_repairs st 20
+    | "repairs", n -> (
       match int_of_string_opt n with
-      | Some n when n >= 0 -> cmd_hyper_repairs st fam n
-      | _ -> hyper_usage))
-  | "query", arg -> (
-    match pop_hyper_family arg with
-    | _, "" -> hyper_usage
-    | fam, q -> cmd_hyper_query st fam q)
+      | Some n when n >= 0 -> cmd_repairs st n
+      | _ -> hyper_usage)
+    | "query", q when q <> "" -> cmd_query st q
+    | _ -> hyper_usage)
   | _ -> hyper_usage
 
 let exec st line =

@@ -11,7 +11,8 @@
     Commands:
     {v
     load FILE            load an instance file
-    family rep|l|s|g|c   select the preferred-repair family
+    family FAM           select the preferred-repair family:
+                         rep|l|s|g|c, pareto (= s), global (= g)
     info                 schema, constraints, candidate keys, conflicts
     repairs [N]          enumerate (at most N) preferred repairs
     count                count preferred repairs without enumerating
@@ -51,19 +52,26 @@
     hyper [info]         the conflict hypergraph: denials, edges,
                          components
     hyper count|repairs|query [FAM] ...
-                         the same commands on the hyperedge substrate
-                         (FAM: rep|pareto|global)
+                         the ordinary command under FAM (default rep)
+                         for this one request
     save FILE            write the instance and preferences back out
     metrics              process metrics in Prometheus text format
     help                 this text
     v}
 
-    The commands that answer over the preferred repairs ([repairs],
-    [count], [facts], [stats], [clean], [trace], [query], [qtrace],
-    [profile], [explain], [status], [aggregate]) run on the binary
-    conflict graph of the FDs. On a spec that declares denial
-    constraints they return an error naming the [hyper] commands
-    instead of an answer that ignores the denials. *)
+    The repair commands ([repairs], [count], [facts], [query],
+    [profile], [aggregate]) answer on the substrate the loaded spec
+    needs. A spec with only FDs answers on the binary conflict graph of
+    the incremental engine, in every family; the default is C-Rep. A
+    spec that declares denial constraints answers on its conflict
+    hypergraph (the declared denials plus the FDs in denial form), built
+    once per change of the spec; there [rep], [s]/[pareto] and
+    [g]/[global] select Rep, Pareto- and globally-optimal repairs, the
+    default is Rep, and L-/C-Rep are an error. Labels come from the
+    substrate: [S-Rep]/[G-Rep] on FD specs, [Pareto]/[Global] on denial
+    specs. [stats], [clean], [trace], [qtrace], [explain] and [status]
+    are defined on the binary graph only and return an error on a denial
+    spec. *)
 
 type state
 
@@ -77,19 +85,17 @@ val of_spec : ?engine:Core.Delta.t -> Dbio.Instance_format.spec -> state
     spec. *)
 
 val family : state -> Core.Family.name
+(** The selected family, or the loaded spec's default when none was
+    selected: C-Rep for FD specs (and with nothing loaded), Rep for
+    denial specs. *)
 
-val context :
-  Dbio.Instance_format.spec -> (Core.Conflict.t * Core.Priority.t, string) result
-(** The binary evaluation context of a spec: the conflict graph of its
-    FDs, oriented by its preferences. [Error] when the preferences do not
-    induce a priority, or when the spec declares denial constraints
-    (which the binary graph cannot see). *)
-
-val hyper_context :
-  Dbio.Instance_format.spec -> (Core.Hyper.t * Core.Hpriority.t, string) result
-(** The hyperedge context of a spec: the conflict hypergraph of its
-    declared denials plus its FDs in denial form, oriented by its
-    preferences. *)
+val check :
+  state -> Relational.Relation.t -> (string * bool, string) result
+(** Preferred-repair checking: whether the candidate instance is one of
+    the selected family's repairs of the loaded spec, on the spec's
+    substrate, with the family's label. [Error] when nothing is loaded,
+    the family is undefined on the substrate, or the candidate does not
+    fit the instance. *)
 
 val loaded : state -> Dbio.Instance_format.spec option
 
@@ -115,7 +121,7 @@ type event =
 val set_observer : state -> (event -> (unit, string) result) -> state
 
 val drop_undo_history : state -> unit
-(** Empty the engine's undo history in place (no-op without an engine).
+(** Empty the engine's undo history in place (no-op without one).
     The serve loop calls this after a successful store checkpoint so
     the live session agrees with a recovered one that the snapshot is
     the undo horizon ({!Dbio.Store.log} would reject the older undos

@@ -5,8 +5,9 @@
      order) against a brute-force model, and [patch] against a full
      rebuild.
    - [Hyper.of_fds] against [Conflict.build]: same conflicts, same
-     repairs, same verdicts — the binary path is the k = 2 special case
-     and must stay bit-identical.
+     repairs, same verdicts, Pareto/Global = S-/G-Rep under the same
+     priority — the binary path is the k = 2 special case and must stay
+     bit-identical.
    - The postings join ([violation_sets], including the FD-shaped
      bucketing fast path) against the naive O(n^k) scan, and the pinned
      join against filtering the full join.
@@ -227,13 +228,26 @@ let of_fds_matches_conflict_edges =
            (fun e (u, v) -> Vset.equal e (Vset.of_list [ u; v ]))
            hedges pairs)
 
+(* Same repairs, and under one random priority (the same arcs on both
+   sides) Pareto = S-Rep and Global = G-Rep: the hyperedge families
+   generalize the binary ones, which is what lets the session answer
+   s/g as pareto/global on a denial spec. *)
 let of_fds_matches_conflict_repairs =
   prop ~count:40 "of_fds repairs = binary-path repairs" fd_gen fd_print
     (fun c ->
       let rel, fds = fd_instance c in
       let h = Hyper.of_fds fds rel in
       let cg = Core.Conflict.build fds rel in
-      vsets_equal (Hyper.repairs h) (Core.Repair.all cg))
+      let rng = Prng.create (c.seed + 1) in
+      let hp = random_hpriority rng ~density:(Prng.int rng 101) h in
+      let p = Core.Priority.of_arcs_exn cg (Hpriority.arcs hp) in
+      vsets_equal (Hyper.repairs h) (Core.Repair.all cg)
+      && vsets_equal
+           (Hfamily.repairs Hfamily.Pareto h hp)
+           (Core.Family.repairs Core.Family.S cg p)
+      && vsets_equal
+           (Hfamily.repairs Hfamily.Global h hp)
+           (Core.Family.repairs Core.Family.G cg p))
 
 let ground_query rng rel =
   let ids = Vset.elements (Relation.live_ids rel) in

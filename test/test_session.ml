@@ -327,10 +327,11 @@ let emp_denials =
    tuple 'John' 'PR' 30\n\
    tuple 'Ann' 'HQ' 500\n"
 
-(* The binary conflict graph sees only the FDs: on a spec that declares
-   denials, every command answering over the repairs must refuse rather
-   than answer as if the denials did not exist (Ann violates [cap], so
-   she is in no repair). *)
+(* stats, clean, trace, qtrace, explain and status are defined on the
+   binary conflict graph of the FDs: on a spec that declares denials they
+   refuse rather than answer as if the denials did not exist (Ann
+   violates [cap], so she is in no repair), and name the commands that
+   do answer there. *)
 let test_denial_spec_refuses_fd_answers () =
   let st = load_text emp_denials in
   List.iter
@@ -338,13 +339,11 @@ let test_denial_spec_refuses_fd_answers () =
       let _, out = Session.exec st cmd in
       Alcotest.(check bool) (cmd ^ " is an error") true
         (Session.is_error_output out);
-      Alcotest.(check bool) (cmd ^ " names the hyper commands") true
-        (contains ~needle:"hyper count|repairs|query" out))
+      Alcotest.(check bool) (cmd ^ " names the answering commands") true
+        (contains ~needle:"repairs, count, facts, query, profile, aggregate" out))
     [
-      "query Emp('Ann', 'HQ', 500)"; "qtrace Emp('Ann', 'HQ', 500)";
-      "profile Emp('Ann', 'HQ', 500)"; "explain Emp('Ann', 'HQ', 500)";
-      "repairs"; "count"; "facts"; "stats"; "clean"; "trace";
-      "status 'Ann' 'HQ' 500"; "aggregate sum:Cap";
+      "qtrace Emp('Ann', 'HQ', 500)"; "explain Emp('Ann', 'HQ', 500)";
+      "stats"; "clean"; "trace"; "status 'Ann' 'HQ' 500";
     ];
   let _, out = Session.exec st "hyper query Emp('Ann', 'HQ', 500)" in
   check Alcotest.string "hyper query" "Rep: certainly false" out;
@@ -364,6 +363,55 @@ let test_denial_spec_refuses_fd_answers () =
   Alcotest.(check bool) "delete still applies" false (Session.is_error_output out);
   let _, out = Session.exec st "undo" in
   Alcotest.(check bool) "undo still applies" false (Session.is_error_output out)
+
+(* The repair commands answer a denial spec on its conflict hypergraph,
+   under Rep by default and under Pareto/Global for s/g; the hyperedge
+   context is built once per change of the spec, not per command. *)
+let test_denial_spec_answers () =
+  let st = load_text emp_denials in
+  let buf = Obs.Sink.Memory.create () in
+  Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
+  let run st cmd = snd (Session.exec st cmd) in
+  let query = run st "query Emp('Ann', 'HQ', 500)" in
+  let count = run st "count" in
+  let facts = run st "facts" in
+  let st, _ = Session.exec st "insert 'Zed' 'OPS' 7" in
+  let count' = run st "count" in
+  let facts' = run st "facts" in
+  Obs.Span.set_sink None;
+  check Alcotest.string "query" "Rep: certainly false" query;
+  check Alcotest.string "count" "Rep: 2 preferred repair(s) across 3 component(s)"
+    count;
+  Alcotest.(check bool) "Ann is excluded" true
+    (contains ~needle:"excluded (1):\n  ('Ann', 'HQ', 500)" facts);
+  Alcotest.(check bool) "the insertion is seen" true
+    (contains ~needle:"2 preferred repair(s)" count'
+    && contains ~needle:"('Zed', 'OPS', 7)" facts');
+  let whole_builds n =
+    List.length
+      (List.filter
+         (fun (e : Obs.Event.t) ->
+           e.phase = Obs.Event.Begin && e.name = "hyper.build"
+           && List.assoc_opt "tuples" e.args = Some (Obs.Event.Int n))
+         (Obs.Sink.Memory.events buf))
+  in
+  check Alcotest.int "one build for three commands" 1 (whole_builds 4);
+  check Alcotest.int "one build after the insertion" 1 (whole_builds 5);
+  (* the families: s/g are Pareto/Global, L and C have no counterpart *)
+  let st, msg = Session.exec st "family pareto" in
+  check Alcotest.string "pareto label" "family: Pareto" msg;
+  Alcotest.(check bool) "pareto query" true
+    (contains ~needle:"Pareto: " (run st "query Emp('John', 'PR', 30)"));
+  let st, _ = Session.exec st "family c" in
+  let out = run st "query Emp('Ann', 'HQ', 500)" in
+  Alcotest.(check bool) "C-Rep is an error" true (Session.is_error_output out);
+  Alcotest.(check bool) "the error names the families" true
+    (contains ~needle:"rep|pareto|global" out);
+  (* one name space: pareto/global are s/g on an FD spec *)
+  let mgr = load () in
+  let count_under fam = run (fst (Session.exec mgr ("family " ^ fam))) "count" in
+  check Alcotest.string "pareto = s" (count_under "s") (count_under "pareto");
+  check Alcotest.string "global = g" (count_under "g") (count_under "global")
 
 (* Declared denials add to the FDs rather than replace them: the Mary
    pair conflicts through [fd Name -> Dept], Ann through [cap]. *)
@@ -411,5 +459,6 @@ let suite =
     ("profile command and session telemetry", `Quick, test_profile_and_telemetry);
     ("denial specs refuse FD-graph answers", `Quick,
      test_denial_spec_refuses_fd_answers);
+    ("denial specs answer on the hypergraph", `Quick, test_denial_spec_answers);
     ("declared denials keep the FDs", `Quick, test_denials_keep_the_fds);
   ]

@@ -584,6 +584,19 @@ let test_serve_smoke () =
   | Error e -> Alcotest.failf "insert failed: %s" e);
   let entries, _, _ = Result.get_ok (Wal.replay (Store.wal_path dir)) in
   check Alcotest.int "insert journaled" 1 (List.length entries);
+  (* a text-framed plan runs the planner once: the structured "plan"
+     field, which re-runs it, is built for JSON-framed requests only *)
+  let executions () =
+    match Obs.Registry.find_histogram "prefdb_planner_execute_seconds" with
+    | Some h -> (Obs.Metric.snapshot h).Obs.Metric.count
+    | None -> 0
+  in
+  let before = executions () in
+  (match Shell.Server.request dir "plan Mgr(n, d, s)" with
+  | Ok out -> check Alcotest.bool "plan answered" false (Shell.Session.is_error_output out)
+  | Error e -> Alcotest.failf "plan failed: %s" e);
+  check Alcotest.int "text plan executes the planner once" (before + 1)
+    (executions ());
   (* json framing *)
   (match Shell.Server.request_json dir "info" with
   | Ok resp -> (
