@@ -1505,6 +1505,110 @@ let store_bench () =
       Harness.note "wal replay: %d records in %s (%.0f records/s)" nrec
         (Harness.time_cell replay_t)
         (float_of_int nrec /. replay_t));
+  (* recovery: Store.open_ over a write-mix-shaped store — pairs of
+     conflicting tuples per employee, a preference orienting them, and
+     a journal of cycles insert x / delete y / undo / delete x, so the
+     journal leaves the live set as it found it but grows the slot
+     array and the undo history. The same snapshot with an empty
+     journal prices the one engine build every open pays. *)
+  let employees = 1_500 and records = sz 8_000 400 in
+  let schema =
+    Relational.Schema.make "Emp"
+      [
+        ("Name", Relational.Schema.TName);
+        ("Dept", Relational.Schema.TName);
+        ("Salary", Relational.Schema.TInt);
+      ]
+  in
+  let emp name dept salary =
+    Relational.Tuple.make
+      [ Relational.Value.name name; Relational.Value.name dept;
+        Relational.Value.int salary ]
+  in
+  let name i = Printf.sprintf "e%d" i in
+  let b = Relational.Relation.Builder.create ~size_hint:(2 * employees) schema in
+  for i = 0 to employees - 1 do
+    Relational.Relation.Builder.add b (emp (name i) "R&D" (1_000 + i));
+    Relational.Relation.Builder.add b (emp (name i) "IT" (2_000 + i))
+  done;
+  let spec =
+    {
+      IF.relation = Relational.Relation.Builder.finish b;
+      fds =
+        [ Constraints.Fd.make [ "Name" ] [ "Dept"; "Salary" ] ];
+      denials = [];
+      provenance = Relational.Provenance.empty;
+      prefs = [ IF.Attribute ("Salary", `Larger) ];
+    }
+  in
+  let with_store k =
+    let dir = Filename.temp_file "prefdb_bench" ".store" in
+    Sys.remove dir;
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun p -> try Sys.remove p with Sys_error _ -> ())
+          [ Dbio.Store.snapshot_path dir; Dbio.Store.wal_path dir ];
+        try Sys.rmdir dir with Sys_error _ -> ())
+      (fun () ->
+        (match Dbio.Store.init dir spec with Ok () -> () | Error e -> failwith e);
+        k dir)
+  in
+  let time_open dir =
+    Harness.measure_cold (fun () ->
+        match Dbio.Store.open_ dir with
+        | Ok store -> Dbio.Store.close store
+        | Error e -> failwith e)
+  in
+  let empty_t = with_store time_open in
+  with_store (fun dir ->
+      let wal = Result.get_ok (Dbio.Wal.open_append (Dbio.Store.wal_path dir)) in
+      let rng = Prng.create 1 in
+      for c = 0 to (records / 4) - 1 do
+        let i = Prng.int rng employees in
+        let x = emp (name i) "Legal" (500_000 + c) in
+        let y =
+          if c mod 2 = 0 then emp (name i) "R&D" (1_000 + i)
+          else emp (name i) "IT" (2_000 + i)
+        in
+        List.iter
+          (fun entry ->
+            match Dbio.Wal.append wal ~gen:0 entry with
+            | Ok () -> ()
+            | Error e -> failwith e)
+          [
+            Dbio.Wal.Batch [ Core.Delta.Insert x ];
+            Dbio.Wal.Batch [ Core.Delta.Delete y ];
+            Dbio.Wal.Undo;
+            Dbio.Wal.Batch [ Core.Delta.Delete x ];
+          ]
+      done;
+      Dbio.Wal.close wal;
+      (match Dbio.Store.open_ dir with
+      | Ok store ->
+        if Dbio.Store.wal_records store <> records then
+          failwith "STORE open: not every journal record replayed";
+        Dbio.Store.close store
+      | Error e -> failwith e);
+      let open_t = time_open dir in
+      let per_record = (open_t -. empty_t) *. 1e6 /. float_of_int records in
+      Harness.record store_out
+        ~name:(Printf.sprintf "store-open/journal-%d" records)
+        ~fields:
+          [
+            ("records", Obs.Json.Int records);
+            ("replay_us_per_record", Harness.ratio per_record);
+            ("empty_journal_open_s", Harness.seconds empty_t);
+          ]
+        ~note:
+          (Printf.sprintf
+             "cold-start Store.open_: snapshot of %d facts + a write-mix \
+              journal (insert x / delete y / undo / delete x); \
+              replay_us_per_record = (open - empty-journal open) / records"
+             (2 * employees))
+        open_t;
+      Harness.note "store open: %d records in %s (empty journal %s; %.1f us/record)"
+        records (Harness.time_cell open_t) (Harness.time_cell empty_t) per_record);
   Harness.note "Written to BENCH_store.json."
 
 (* --- PLAN: the cost-based query planner ------------------------------------------ *)

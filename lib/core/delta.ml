@@ -33,12 +33,14 @@ include Journal.Make (struct
   let relation = Conflict.relation
 end)
 
-let create ?(rule = fun _ _ -> false) fds relation =
+let create ?(rule = fun _ _ -> false) ?history fds relation =
   match Conflict.build fds relation with
   | exception Invalid_argument e -> Error e
   | conflict -> (
     match Pref_rules.apply conflict rule with
     | Error e -> Error e
-    | Ok priority -> Ok (make rule conflict priority))
+    | Ok priority -> Ok (make ?history rule conflict priority))
 
 let conflict = substrate
+let inverse = Journal.inverse
+let split = Journal.split

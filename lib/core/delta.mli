@@ -46,13 +46,29 @@ type report = {
 
 val create :
   ?rule:Pref_rules.rule ->
+  ?history:op list list ->
   Constraints.Fd.t list ->
   Relation.t ->
   (t, string) result
 (** Builds the initial conflict graph, priority and decomposition from
     scratch. [rule] orients conflict edges as in {!Pref_rules.apply}
     (default: no preferences, i.e. the empty priority); fails when the
-    rule is cyclic on the instance or an FD does not fit the schema. *)
+    rule is cyclic on the instance or an FD does not fit the schema.
+
+    [history] (default empty) is the undo history the engine starts
+    with: inverse batches, most recent first, as {!inverse} forms them.
+    A store's recovery rebuilds the relation from its journal without
+    an engine and hands the history over here, so {!history_depth} and
+    {!undo} behave as in the process that wrote the journal. The caller
+    vouches that each inverse re-applies in turn. *)
+
+val inverse : op list -> op list
+(** The batch that undoes an accepted [ops]: its inserts deleted, then
+    its deletes re-inserted. *)
+
+val split : op list -> Tuple.t list * Tuple.t list
+(** [(inserts, deletes)], each in list order — the order in which an
+    accepted batch appends its inserts under fresh ids. *)
 
 val apply : t -> op list -> (report, string) result
 (** Applies one batch atomically: on [Error] nothing changed — not the

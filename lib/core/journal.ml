@@ -28,6 +28,12 @@ let split ops =
   in
   (List.rev ins, List.rev del)
 
+(* What undoes an accepted batch: its inserts deleted, its deletes
+   re-inserted (under fresh ids, as any insertion). *)
+let inverse ops =
+  let insert, delete = split ops in
+  List.map (fun x -> Delete x) insert @ List.map (fun x -> Insert x) delete
+
 module Make (L : sig
   type substrate
   type priority
@@ -81,13 +87,16 @@ struct
            place by every subsequent batch (undo included) *)
   }
 
-  let make config substrate priority =
+  (* [history] hands over inverse batches reconstructed elsewhere (a
+     store's journal replay); the caller vouches that each re-applies
+     in turn. *)
+  let make ?(history = []) config substrate priority =
     {
       config;
       substrate;
       priority;
       decompose = L.make substrate priority;
-      history = [];
+      history;
       colstats = None;
     }
 
@@ -133,15 +142,10 @@ struct
           })
 
   let apply t ops =
-    (* capture before the batch mutates [t] *)
-    let insert, delete = split ops in
     match apply_batch t ops with
     | Error e -> Error e
     | Ok report ->
-      let inverse =
-        List.map (fun x -> Delete x) insert @ List.map (fun x -> Insert x) delete
-      in
-      t.history <- inverse :: t.history;
+      t.history <- inverse ops :: t.history;
       Ok report
 
   let undo t =

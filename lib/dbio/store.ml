@@ -53,10 +53,10 @@ let refresh_gauges t =
   Obs.Metric.set_gauge m_undo_horizon (Float.of_int t.replay_depth);
   Obs.Metric.set_gauge m_wal_records (Float.of_int t.wal_records)
 
-let build_engine spec =
+let build_engine ?history spec =
   match IF.to_rule spec with
   | Error e -> Error e
-  | Ok rule -> Core.Delta.create ~rule spec.IF.fds spec.IF.relation
+  | Ok rule -> Core.Delta.create ~rule ?history spec.IF.fds spec.IF.relation
 
 let unix_error = function
   | Unix.Unix_error (err, fn, arg) ->
@@ -128,93 +128,200 @@ let split_generations snap_gen entries =
          snap_gen)
   | None -> Ok (stale, List.map snd current)
 
-(* Replay brings the engine through the same entry points the original
-   process used, so everything observable — fact ids, slot counter,
-   history depth, decomposition caches — re-converges bit-identically. *)
-let replay_entry (spec, engine) = function
+(* The relation a journal replays into, without an engine: a growable
+   fact array plus the fact id of every live tuple — a slot is live iff
+   its tuple maps to it. Deletes tombstone (drop the mapping), inserts
+   append under fresh ids, so ids come out exactly as
+   [Relation.patch] hands them out on the live path; the relation is
+   assembled once, at the end. *)
+module Tuple_tbl = Hashtbl.Make (Relational.Tuple)
+
+type slots = {
+  schema : Relational.Schema.t;
+  mutable facts : Relational.Tuple.t array;
+  mutable len : int;
+  ids : int Tuple_tbl.t;
+}
+
+let slots_of_relation r =
+  let entries = Relational.Relation.slots r in
+  let ids = Tuple_tbl.create (max 16 (2 * Array.length entries)) in
+  Array.iteri (fun i (t, live) -> if live then Tuple_tbl.replace ids t i) entries;
+  {
+    schema = Relational.Relation.schema r;
+    facts = Array.map fst entries;
+    len = Array.length entries;
+    ids;
+  }
+
+let append b t =
+  if b.len = Array.length b.facts then begin
+    let facts = Array.make (max 16 (2 * b.len)) t in
+    Array.blit b.facts 0 facts 0 b.len;
+    b.facts <- facts
+  end;
+  b.facts.(b.len) <- t;
+  Tuple_tbl.replace b.ids t b.len;
+  b.len <- b.len + 1
+
+let relation_of_slots b =
+  let ws = Graphs.Vset.word_size in
+  let words = Array.make ((b.len + ws - 1) / ws) 0 in
+  Tuple_tbl.iter
+    (fun _ i -> words.(i / ws) <- words.(i / ws) lor (1 lsl (i mod ws)))
+    b.ids;
+  Relational.Relation.of_facts b.schema (Array.sub b.facts 0 b.len)
+    (Graphs.Vset.of_words words)
+
+(* One batch with the checks the live path runs ([Conflict.apply_delta]
+   and [Relation.patch]) and the same first error: deletes in order,
+   each live and listed once, then inserts in order, each conforming,
+   not live and listed once. A failing record aborts the whole open, so
+   checking and applying go hand in hand; telling "listed twice" from
+   "absent"/"present" looks back over the batch only on the error path. *)
+let apply_batch b ops =
+  let insert, delete = Core.Delta.split ops in
+  let str = Relational.Tuple.to_string in
+  let earlier t seen = List.exists (Relational.Tuple.equal t) seen in
+  let rec deletes seen = function
+    | [] -> inserts [] insert
+    | t :: rest ->
+      if Tuple_tbl.mem b.ids t then begin
+        Tuple_tbl.remove b.ids t;
+        deletes (t :: seen) rest
+      end
+      else if earlier t seen then
+        Error (Printf.sprintf "delete: tuple %s listed twice" (str t))
+      else
+        Error
+          (Printf.sprintf "delete: tuple %s is not part of the instance"
+             (str t))
+  and inserts seen = function
+    | [] -> Ok ()
+    | t :: rest ->
+      if not (Relational.Tuple.conforms b.schema t) then
+        Error
+          (Printf.sprintf "insert: tuple %s does not conform to schema %s"
+             (str t)
+             (Relational.Schema.name b.schema))
+      else if Tuple_tbl.mem b.ids t then
+        Error
+          (if earlier t seen then
+             Printf.sprintf "insert: tuple %s listed twice" (str t)
+           else
+             Printf.sprintf "insert: tuple %s is already in the instance"
+               (str t))
+      else begin
+        append b t;
+        inserts (t :: seen) rest
+      end
+  in
+  deletes [] delete
+
+(* Replay folds one record into the slots, the preferences appended
+   since the snapshot (most recent first) and the undo history (inverse
+   batches, most recent first) — exactly the state the live process
+   kept for it. *)
+let replay_entry b (prefs, history) = function
   | Wal.Batch ops -> (
-    match Core.Delta.apply engine ops with
-    | Ok _ -> Ok (spec, engine)
+    match apply_batch b ops with
+    | Ok () -> Ok (prefs, Core.Delta.inverse ops :: history)
     | Error e -> Error ("batch does not re-apply: " ^ e))
   | Wal.Undo -> (
-    match Core.Delta.undo engine with
-    | Ok _ -> Ok (spec, engine)
-    | Error e -> Error ("undo does not re-apply: " ^ e))
-  | Wal.Prefer p -> (
-    let spec' =
-      {
-        spec with
-        IF.prefs = spec.IF.prefs @ [ p ];
-        IF.relation = Core.Delta.relation engine;
-      }
+    match history with
+    | [] -> Error "undo does not re-apply: nothing to undo"
+    | inverse :: rest -> (
+      match apply_batch b inverse with
+      | Ok () -> Ok (prefs, rest)
+      | Error e -> Error ("undo does not re-apply: " ^ e)))
+  (* a preference rebuilds the live engine with fresh history *)
+  | Wal.Prefer p -> Ok (p :: prefs, [])
+
+(* The recovered state is the snapshot plus the journal's net change:
+   the priority is an orientation fixed by the final instance and
+   preferences, whatever path produced them, so the engine is built
+   once over the final spec with the replayed history handed over. *)
+let recover spec0 entries =
+  match entries with
+  | [] -> (
+    match build_engine spec0 with
+    | Ok engine -> Ok (spec0, engine)
+    | Error e -> Error ("snapshot does not build: " ^ e))
+  | _ -> (
+    let b = slots_of_relation spec0.IF.relation in
+    let rec replay acc n = function
+      | [] -> Ok acc
+      | entry :: rest -> (
+        match replay_entry b acc entry with
+        | Ok acc -> replay acc (n + 1) rest
+        | Error e -> Error (Printf.sprintf "wal record %d: %s" (n + 1) e))
     in
-    match build_engine spec' with
-    | Ok engine' -> Ok (spec', engine')
-    | Error e -> Error ("preference does not re-apply: " ^ e))
+    match replay ([], []) 0 entries with
+    | Error _ as e -> e
+    | Ok (prefs, history) -> (
+      let built =
+        match relation_of_slots b with
+        | exception Invalid_argument e -> Error e
+        | relation ->
+          let spec =
+            { spec0 with IF.prefs = spec0.IF.prefs @ List.rev prefs; relation }
+          in
+          Result.map (fun engine -> (spec, engine)) (build_engine ~history spec)
+      in
+      match built with
+      | Ok _ as ok -> ok
+      | Error e -> Error ("replayed state does not build: " ^ e)))
 
 let open_ dir =
   Obs.Span.with_span "store.open" @@ fun () ->
   match Snapshot.load (snapshot_path dir) with
   | Error _ as e -> e
   | Ok (spec0, generation) -> (
-    match build_engine spec0 with
-    | Error e -> Error ("snapshot does not build: " ^ e)
-    | Ok engine0 -> (
-      match Wal.replay (wal_path dir) with
+    match Wal.replay (wal_path dir) with
+    | Error _ as e -> e
+    | Ok (entries, clean_len, torn) -> (
+      let truncated =
+        if torn > 0 then drop_torn_tail (wal_path dir) clean_len else Ok ()
+      in
+      match truncated with
       | Error _ as e -> e
-      | Ok (entries, clean_len, torn) -> (
-        let truncated =
-          if torn > 0 then drop_torn_tail (wal_path dir) clean_len else Ok ()
-        in
-        match truncated with
+      | Ok () -> (
+        match split_generations generation entries with
         | Error _ as e -> e
-        | Ok () -> (
-          match split_generations generation entries with
+        | Ok (stale, entries) -> (
+          match recover spec0 entries with
           | Error _ as e -> e
-          | Ok (stale, entries) -> (
-            let rec replay acc n = function
-              | [] -> Ok (acc, n)
-              | entry :: rest -> (
-                match replay_entry acc entry with
-                | Ok acc -> replay acc (n + 1) rest
-                | Error e ->
-                  Error (Printf.sprintf "wal record %d: %s" (n + 1) e))
-            in
-            match replay (spec0, engine0) 0 entries with
+          | Ok (spec, engine) -> (
+            let replayed = List.length entries in
+            if Obs.Span.enabled () then
+              Obs.Span.annotate
+                [
+                  ("wal_records", Obs.Event.Int replayed);
+                  ("stale_records", Obs.Event.Int stale);
+                  ("torn_bytes", Obs.Event.Int torn);
+                  ("generation", Obs.Event.Int generation);
+                ];
+            match Wal.open_append (wal_path dir) with
             | Error _ as e -> e
-            | Ok ((spec, engine), replayed) -> (
-              let spec =
-                { spec with IF.relation = Core.Delta.relation engine }
+            | Ok wal ->
+              let t =
+                {
+                  dir;
+                  wal;
+                  spec;
+                  engine;
+                  torn_bytes = torn;
+                  stale_records = stale;
+                  generation;
+                  wal_records = replayed;
+                  replay_depth = Core.Delta.history_depth engine;
+                }
               in
-              if Obs.Span.enabled () then
-                Obs.Span.annotate
-                  [
-                    ("wal_records", Obs.Event.Int replayed);
-                    ("stale_records", Obs.Event.Int stale);
-                    ("torn_bytes", Obs.Event.Int torn);
-                    ("generation", Obs.Event.Int generation);
-                  ];
-              match Wal.open_append (wal_path dir) with
-              | Error _ as e -> e
-              | Ok wal ->
-                let t =
-                  {
-                    dir;
-                    wal;
-                    spec;
-                    engine;
-                    torn_bytes = torn;
-                    stale_records = stale;
-                    generation;
-                    wal_records = replayed;
-                    replay_depth = Core.Delta.history_depth engine;
-                  }
-                in
-                Obs.Metric.incr ~by:replayed m_replayed;
-                Obs.Metric.incr ~by:stale m_stale;
-                Obs.Metric.incr ~by:torn m_torn;
-                refresh_gauges t;
-                Ok t))))))
+              Obs.Metric.incr ~by:replayed m_replayed;
+              Obs.Metric.incr ~by:stale m_stale;
+              Obs.Metric.incr ~by:torn m_torn;
+              refresh_gauges t;
+              Ok t)))))
 
 (* --- the journal -------------------------------------------------------- *)
 

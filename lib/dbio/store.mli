@@ -11,10 +11,14 @@
     tail left by a crash mid-append, skipping records from generations
     before the snapshot's — leftovers of a {!checkpoint} whose
     truncation never reached the disk), and hands back the recovered
-    spec together with a warm {!Core.Delta} engine whose fact ids,
-    history depth and caches match the pre-crash process exactly —
-    replay applies the very batches the original process applied, in
-    order, through the same engine entry points.
+    spec together with a {!Core.Delta} engine whose fact ids,
+    preferences, answers and undo history match the pre-crash process
+    exactly. Replay folds the records into the relation alone, in one
+    pass — tombstoning deletes and appending inserts under fresh ids in
+    the order the live engine does, keeping the inverse of every batch
+    as the undo history — and then builds the engine once over the
+    final spec with that history handed over: the priority is fixed by
+    the final instance and preferences, whatever path led there.
 
     After open the caller owns the state's evolution; the store only
     journals it: call {!log} after each successful mutation (the
@@ -42,9 +46,13 @@ val init : string -> Instance_format.spec -> (unit, string) result
     store already exists in the directory. *)
 
 val open_ : string -> (t, string) result
-(** Load + replay. Fails when the snapshot is missing or corrupt, or
-    when a current-generation log record does not re-apply — both mean
-    the store cannot be trusted. *)
+(** Load + replay + one engine build. Fails when the snapshot is
+    missing or corrupt, when a current-generation log record does not
+    re-apply ([wal record N: …]: a delete of a tuple that is not live,
+    an insert of one that is, an undo with nothing to undo), or when
+    the final state does not build ("snapshot does not build" with no
+    record replayed, "replayed state does not build" otherwise) — each
+    means the store cannot be trusted. *)
 
 val spec : t -> Instance_format.spec
 (** The recovered spec, as of {!open_} (log replayed). *)

@@ -118,6 +118,15 @@ let compiled_fds spec =
 
 let denials_of spec = spec.IF.denials @ compiled_fds spec
 
+(* How many denials are in force, and a note on how many of them came
+   from the FDs. *)
+let denial_count spec =
+  let declared = List.length spec.IF.denials in
+  match List.length (compiled_fds spec) with
+  | 0 -> (declared, "")
+  | n when declared = 0 -> (n, " (compiled from the fds)")
+  | n -> (declared + n, Printf.sprintf " (%d compiled from the fds)" n)
+
 let build_engine spec =
   match IF.to_rule spec with
   | Error e -> Error e
@@ -219,8 +228,7 @@ let with_answers st k =
   with_instance st (fun i ->
       match answers_of st i with Error e -> "error: " ^ e | Ok a -> k a)
 
-(* For the commands that describe the instance rather than answer over
-   its repairs ([info], [plan]): the FD engine of any spec. *)
+(* The FD engine of any spec. *)
 let with_engine st k =
   with_instance st (fun i ->
       match i.engine with Error e -> "error: " ^ e | Ok eng -> k i.spec eng)
@@ -282,26 +290,44 @@ let cmd_family st name =
     ({ st with family = Some f }, "family: " ^ label)
 
 let cmd_info st =
-  with_engine st (fun spec eng ->
-      buffer_out (fun ppf ->
-          let schema = Relation.schema spec.IF.relation in
-          Format.fprintf ppf "relation: %a@." Schema.pp schema;
-          Format.fprintf ppf "tuples:   %d@." (Relation.cardinality spec.IF.relation);
-          Format.fprintf ppf "interned: %d symbol(s)@." (Intern.count ());
-          Format.fprintf ppf "domains:  %d@." (Core.Pool.jobs ());
-          List.iter
-            (fun fd -> Format.fprintf ppf "fd:       %a@." Constraints.Fd.pp fd)
-            spec.IF.fds;
-          Format.fprintf ppf "candidate keys: %s@."
-            (String.concat ", "
-               (List.map
-                  (fun k -> "{" ^ String.concat " " k ^ "}")
-                  (Constraints.Fd.candidate_keys schema spec.IF.fds)));
-          Format.fprintf ppf "conflicts: %d (%d oriented)@."
-            (List.length (Core.Conflict.conflict_pairs (Core.Delta.conflict eng)))
-            (Core.Priority.arc_count (Core.Delta.priority eng));
-          Format.fprintf ppf "BCNF:     %b"
-            (Constraints.Fd.is_bcnf schema spec.IF.fds)))
+  with_instance st @@ fun i ->
+  match i.engine with
+  | Error e -> "error: " ^ e
+  | Ok eng ->
+    let spec = i.spec in
+    buffer_out (fun ppf ->
+      let schema = Relation.schema spec.IF.relation in
+      Format.fprintf ppf "relation: %a@." Schema.pp schema;
+      Format.fprintf ppf "tuples:   %d@." (Relation.cardinality spec.IF.relation);
+      Format.fprintf ppf "interned: %d symbol(s)@." (Intern.count ());
+      Format.fprintf ppf "domains:  %d@." (Core.Pool.jobs ());
+      List.iter
+        (fun fd -> Format.fprintf ppf "fd:       %a@." Constraints.Fd.pp fd)
+        spec.IF.fds;
+      Format.fprintf ppf "candidate keys: %s@."
+        (String.concat ", "
+           (List.map
+              (fun k -> "{" ^ String.concat " " k ^ "}")
+              (Constraints.Fd.candidate_keys schema spec.IF.fds)));
+      (* under denials the conflicts are the hyperedges: the FD
+         graph alone would call an inconsistent instance clean *)
+      if declares_denials spec then begin
+        let n, note = denial_count spec in
+        Format.fprintf ppf "denials:  %d denial constraint(s)%s@." n note;
+        match Lazy.force i.hyper with
+        | Error e -> Format.fprintf ppf "hyperedges: error: %s@." e
+        | Ok { h; hp; _ } ->
+          Format.fprintf ppf "hyperedges: %d (%d oriented)@."
+            (Graphs.Hypergraph.edge_count (Core.Hyper.hypergraph h))
+            (Core.Hpriority.arc_count hp)
+      end
+      else
+        Format.fprintf ppf "conflicts: %d (%d oriented)@."
+          (List.length
+             (Core.Conflict.conflict_pairs (Core.Delta.conflict eng)))
+          (Core.Priority.arc_count (Core.Delta.priority eng));
+      Format.fprintf ppf "BCNF:     %b"
+        (Constraints.Fd.is_bcnf schema spec.IF.fds))
 
 let cmd_repairs st limit = with_answers st (fun a -> buffer_out (a.pp_repairs ~limit))
 
@@ -623,15 +649,6 @@ let cmd_prefer st body =
         | Error e -> (st, "error: not journaled (preference dropped): " ^ e))))
 
 (* --- denials and the conflict hypergraph ------------------------------------ *)
-
-(* How many denials are in force, and a note on how many of them came
-   from the FDs. *)
-let denial_count spec =
-  let declared = List.length spec.IF.denials in
-  match List.length (compiled_fds spec) with
-  | 0 -> (declared, "")
-  | n when declared = 0 -> (n, " (compiled from the fds)")
-  | n -> (declared + n, Printf.sprintf " (%d compiled from the fds)" n)
 
 let pp_denials ppf spec =
   List.iter

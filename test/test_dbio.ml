@@ -84,10 +84,7 @@ let test_parse_errors () =
   expect_error "nonsense here\n";
   expect_error ""
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
-  scan 0
+let contains = Testlib.contains
 
 let test_error_line_numbers () =
   match IF.parse "relation R(A:int)\n# fine\ntuple nope\n" with

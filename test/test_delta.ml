@@ -25,10 +25,7 @@ let certainty =
 
 let ok_exn = function Ok x -> x | Error e -> Alcotest.fail e
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
+let contains = Testlib.contains
 
 (* Score by the B attribute: acyclic for every instance. *)
 let score_rule =

@@ -5,10 +5,7 @@ module Family = Core.Family
 
 let check = Alcotest.check
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
-  scan 0
+let contains = Testlib.contains
 
 let mgr_file () =
   let path = Filename.temp_file "prefdb" ".pdb" in

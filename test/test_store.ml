@@ -178,6 +178,67 @@ let test_snapshot_denials_roundtrip () =
   check Alcotest.bool "relation equal" true
     (Relation.equal spec.IF.relation spec2.IF.relation)
 
+(* The live engine after the first [n] mutations, driven through the
+   entry points the writing process used: the reference a recovered
+   store is held to. *)
+let drive spec mutations n =
+  let build spec =
+    Result.get_ok
+      (Delta.create ~rule:(Result.get_ok (IF.to_rule spec)) spec.IF.fds
+         spec.IF.relation)
+  in
+  let _, engine =
+    List.fold_left
+      (fun (spec, engine) entry ->
+        match entry with
+        | Wal.Batch ops ->
+          ignore (Result.get_ok (Delta.apply engine ops));
+          (spec, engine)
+        | Wal.Undo ->
+          ignore (Result.get_ok (Delta.undo engine));
+          (spec, engine)
+        | Wal.Prefer p ->
+          let spec =
+            {
+              spec with
+              IF.prefs = spec.IF.prefs @ [ p ];
+              IF.relation = Delta.relation engine;
+            }
+          in
+          (spec, build spec))
+      (spec, build spec)
+      (List.filteri (fun i _ -> i < n) mutations)
+  in
+  engine
+
+(* Undo the recovered engine and the reference in lockstep down to the
+   undo horizon: every step must leave both on the same slots and the
+   same [observe] figures, and the horizon must be the same. *)
+let undo_walk msg ~observe recovered reference =
+  let rec walk k =
+    check Alcotest.int
+      (Printf.sprintf "%s: history depth after %d undo(s)" msg k)
+      (Delta.history_depth reference)
+      (Delta.history_depth recovered);
+    if Delta.history_depth reference > 0 then begin
+      ignore (Result.get_ok (Delta.undo reference));
+      (match Delta.undo recovered with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: undo %d failed: %s" msg (k + 1) e);
+      let step = Printf.sprintf "%s, undo %d" msg (k + 1) in
+      check_same_state step
+        (state_fingerprint (Delta.relation reference))
+        (Delta.relation recovered);
+      check Alcotest.int (step ^ ": observed")
+        (observe reference) (observe recovered);
+      walk (k + 1)
+    end
+    else
+      check Alcotest.bool (msg ^ ": nothing to undo at the horizon") true
+        (Result.is_error (Delta.undo recovered))
+  in
+  walk 0
+
 (* Kill -9 over a denial-constrained store: the recovered spec must carry
    the denial list, and the hyperedge substrate rebuilt from it must
    match the pre-crash one at every fsync point. *)
@@ -209,7 +270,8 @@ let test_kill9_denial_recovery () =
   let observe () =
     ( (Unix.stat (Store.wal_path dir)).Unix.st_size,
       state_fingerprint (Delta.relation engine),
-      hyper_fingerprint (Delta.relation engine) )
+      hyper_fingerprint (Delta.relation engine),
+      Delta.history_depth engine )
   in
   let checkpoints = ref [ observe () ] in
   List.iter
@@ -226,7 +288,8 @@ let test_kill9_denial_recovery () =
   let wal_image =
     In_channel.with_open_bin (Store.wal_path dir) In_channel.input_all
   in
-  let reopen_at msg cut expected_state (expected_edges, expected_count) =
+  let reopen_at ?undo_to msg cut expected_state (expected_edges, expected_count)
+      depth =
     let crash_dir = temp_dir () in
     Unix.mkdir crash_dir 0o755;
     let copy src dst =
@@ -247,14 +310,25 @@ let test_kill9_denial_recovery () =
     let edges, count = hyper_fingerprint rel in
     check Alcotest.int (msg ^ ": hyperedges") expected_edges edges;
     check Alcotest.int (msg ^ ": repair count") expected_count count;
+    check Alcotest.int (msg ^ ": history depth") depth
+      (Delta.history_depth (Store.engine recovered));
+    Option.iter
+      (undo_walk msg
+         ~observe:(fun e -> snd (hyper_fingerprint (Delta.relation e)))
+         (Store.engine recovered))
+      undo_to;
     Store.close recovered;
     rm_rf crash_dir
   in
   List.iteri
-    (fun i (size, state, hfp) ->
-      reopen_at (Printf.sprintf "denial clean cut %d" i) size state hfp;
+    (fun i (size, state, hfp, depth) ->
+      reopen_at
+        ~undo_to:(drive spec mutations i)
+        (Printf.sprintf "denial clean cut %d" i)
+        size state hfp depth;
       if size + 5 <= String.length wal_image then
-        reopen_at (Printf.sprintf "denial torn cut %d" i) (size + 5) state hfp)
+        reopen_at (Printf.sprintf "denial torn cut %d" i) (size + 5) state hfp
+          depth)
     checkpoints;
   rm_rf dir
 
@@ -339,7 +413,6 @@ let test_kill9_recovery () =
   let spec = mgr_spec () in
   Result.get_ok (Store.init dir spec);
   let store = Result.get_ok (Store.open_ dir) in
-  let engine = Store.engine store in
   let mutations =
     [
       Wal.Batch [ Delta.Insert (tuple "Zed" "PR" 7) ];
@@ -348,45 +421,39 @@ let test_kill9_recovery () =
       Wal.Undo;
       Wal.Prefer (IF.Source_pair ("s2", "s3"));
       Wal.Batch [ Delta.Insert (tuple "Ann" "R&D" 50000) ];
+      (* a mixed batch: the delete tombstones, the inserts append in
+         list order *)
+      Wal.Batch
+        [
+          Delta.Insert (tuple "Zed" "HR" 8);
+          Delta.Delete (tuple "Zed" "PR" 7);
+          Delta.Insert (tuple "Bea" "IT" 9);
+        ];
     ]
   in
   (* expected state + wal size after each fsync point; index 0 = fresh *)
-  let engine_ref = ref engine in
-  let spec_ref = ref (Store.spec store) in
-  let observe () =
+  let repairs engine = Core.Decompose.count family (Delta.decompose engine) in
+  let observe n =
+    let engine = drive spec mutations n in
     ( (Unix.stat (Store.wal_path dir)).Unix.st_size,
-      state_fingerprint (Delta.relation !engine_ref),
-      Core.Decompose.count family (Delta.decompose !engine_ref) )
+      state_fingerprint (Delta.relation engine),
+      repairs engine,
+      Delta.history_depth engine )
   in
-  let checkpoints = ref [ observe () ] in
-  List.iter
-    (fun entry ->
-      (match entry with
-      | Wal.Batch ops -> ignore (Result.get_ok (Delta.apply !engine_ref ops))
-      | Wal.Undo -> ignore (Result.get_ok (Delta.undo !engine_ref))
-      | Wal.Prefer p ->
-        let spec' =
-          {
-            !spec_ref with
-            IF.prefs = !spec_ref.IF.prefs @ [ p ];
-            IF.relation = Delta.relation !engine_ref;
-          }
-        in
-        spec_ref := spec';
-        engine_ref :=
-          Result.get_ok
-            (Core.Delta.create
-               ~rule:(Result.get_ok (IF.to_rule spec'))
-               spec'.IF.fds spec'.IF.relation));
-      Result.get_ok (Store.log store entry);
-      checkpoints := observe () :: !checkpoints)
-    mutations;
+  let fresh = observe 0 in
+  let checkpoints =
+    fresh
+    :: List.mapi
+         (fun i entry ->
+           Result.get_ok (Store.log store entry);
+           observe (i + 1))
+         mutations
+  in
   Store.close store;
-  let checkpoints = List.rev !checkpoints in
   let wal_image =
     In_channel.with_open_bin (Store.wal_path dir) In_channel.input_all
   in
-  let reopen_at msg cut expected_fingerprint expected_count =
+  let reopen_at ?undo_to msg cut expected_fingerprint expected_count depth =
     let crash_dir = temp_dir () in
     Unix.mkdir crash_dir 0o755;
     let copy src dst =
@@ -401,18 +468,28 @@ let test_kill9_recovery () =
     check_same_state msg expected_fingerprint
       (Delta.relation (Store.engine recovered));
     check Alcotest.int (msg ^ ": repair count") expected_count
-      (Core.Decompose.count family (Delta.decompose (Store.engine recovered)));
+      (repairs (Store.engine recovered));
+    check Alcotest.int (msg ^ ": history depth") depth
+      (Delta.history_depth (Store.engine recovered));
+    Option.iter
+      (undo_walk msg ~observe:repairs (Store.engine recovered))
+      undo_to;
     Store.close recovered;
     rm_rf crash_dir
   in
   List.iteri
-    (fun i (size, fingerprint, count) ->
-      (* a clean cut exactly at this fsync point *)
-      reopen_at (Printf.sprintf "clean cut %d" i) size fingerprint count;
+    (fun i (size, fingerprint, count, depth) ->
+      (* a clean cut exactly at this fsync point, then undo down to the
+         horizon beside the live engine at that point *)
+      reopen_at
+        ~undo_to:(drive spec mutations i)
+        (Printf.sprintf "clean cut %d" i)
+        size fingerprint count depth;
       (* a torn cut a few bytes into the next record recovers to the
          same state *)
       if size + 5 <= String.length wal_image then
-        reopen_at (Printf.sprintf "torn cut %d" i) (size + 5) fingerprint count)
+        reopen_at (Printf.sprintf "torn cut %d" i) (size + 5) fingerprint count
+          depth)
     checkpoints;
   rm_rf dir
 
@@ -508,6 +585,71 @@ let test_stale_generation_records_skipped () =
     (Delta.relation (Store.engine store2));
   Store.close store2;
   rm_rf dir
+
+(* Recovery builds the engine once per open, over the final state —
+   with an empty journal and with a non-empty one alike. *)
+let test_open_builds_once () =
+  let dir = temp_dir () in
+  Result.get_ok (Store.init dir (mgr_spec ()));
+  let builds_per_open () =
+    let buf = Obs.Sink.Memory.create () in
+    Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
+    let store =
+      Fun.protect
+        ~finally:(fun () -> Obs.Span.set_sink None)
+        (fun () -> Result.get_ok (Store.open_ dir))
+    in
+    Store.close store;
+    List.length
+      (List.filter
+         (fun (e : Obs.Event.t) ->
+           e.phase = Obs.Event.Begin && e.name = "conflict.build")
+         (Obs.Sink.Memory.events buf))
+  in
+  check Alcotest.int "empty journal: one build" 1 (builds_per_open ());
+  let store = Result.get_ok (Store.open_ dir) in
+  Result.get_ok (Store.log store (Wal.Prefer (IF.Source_pair ("s2", "s3"))));
+  Result.get_ok
+    (Store.log store (Wal.Batch [ Delta.Insert (tuple "Zed" "PR" 7) ]));
+  Store.close store;
+  check Alcotest.int "non-empty journal: one build" 1 (builds_per_open ());
+  rm_rf dir
+
+(* A journal whose records all pass their CRC but do not re-apply — it
+   was not written by this store's live path — must make [open_] fail,
+   naming the record, and never raise. *)
+let test_open_rejects_invalid_journal () =
+  let case name entries =
+    let dir = temp_dir () in
+    Result.get_ok (Store.init dir (mgr_spec ()));
+    let wal = Result.get_ok (Wal.open_append (Store.wal_path dir)) in
+    List.iter (fun e -> Result.get_ok (Wal.append wal ~gen:0 e)) entries;
+    Wal.close wal;
+    (match Store.open_ dir with
+    | Ok _ -> Alcotest.failf "%s: the store opened" name
+    | Error e ->
+      let needle = Printf.sprintf "wal record %d" (List.length entries) in
+      check Alcotest.bool
+        (Printf.sprintf "%s: error %S names %s" name e needle)
+        true
+        (Testlib.contains ~needle e)
+    | exception ex ->
+      Alcotest.failf "%s: open raised %s" name (Printexc.to_string ex));
+    rm_rf dir
+  in
+  case "delete of an absent tuple"
+    [ Wal.Batch [ Delta.Delete (tuple "Zed" "PR" 7) ] ];
+  case "insert of a live tuple"
+    [
+      Wal.Batch [ Delta.Insert (tuple "Zed" "PR" 7) ];
+      Wal.Batch [ Delta.Insert (tuple "Mary" "IT" 20000) ];
+    ];
+  case "undo with no history"
+    [
+      Wal.Batch [ Delta.Insert (tuple "Zed" "PR" 7) ];
+      Wal.Prefer (IF.Source_pair ("s2", "s3"));
+      Wal.Undo;
+    ]
 
 (* --- the session's journal gate ----------------------------------------- *)
 
@@ -743,6 +885,8 @@ let suite =
     ("checkpoint truncates the wal", `Quick, test_checkpoint_truncates);
     ("checkpoint is the undo horizon", `Quick, test_checkpoint_is_undo_horizon);
     ("stale-generation wal records are skipped", `Quick, test_stale_generation_records_skipped);
+    ("open builds the engine once", `Quick, test_open_builds_once);
+    ("open rejects a CRC-valid journal that does not re-apply", `Quick, test_open_rejects_invalid_journal);
     ("session mutations gate on the journal", `Quick, test_session_journal_gate);
     ("serve loop end to end", `Quick, test_serve_smoke);
     ("PREFDB_JOBS validation", `Quick, test_env_jobs_validation);

@@ -11,6 +11,14 @@ let vset_list =
 
 let vs = Vset.of_list
 
+(* Substring search, for checking error and command output. *)
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec scan i =
+    i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
+  in
+  scan 0
+
 (* Vertex-set lists in canonical order for equality checks. *)
 let sorted sets = List.sort Vset.compare sets
 
