@@ -167,7 +167,7 @@ val certainty_ground :
 
 (** {2 Streaming the family through the component decomposition}
 
-    Sharded counterparts of [Family.iter/exists/for_all/member/one] and
+    Sharded counterparts of [Family.iter/member/one] and
     [Cqa.certainty/consistent_answer/consistent_answers_open]. They
     enumerate the global family as the cross product of per-component
     preferred repairs (cached per [(family, component)]), so the
@@ -181,13 +181,6 @@ val iter : Family.name -> t -> (Vset.t -> unit) -> unit
     materializing the product. Raises [Cqa.Empty_family] if some
     component contributes no preferred repair (a P1 violation — see
     [Cqa]); with no conflicts at all, yields the single repair [∅]. *)
-
-val exists : Family.name -> t -> (Vset.t -> bool) -> bool
-(** First-witness early exit over {!iter}. *)
-
-val for_all : Family.name -> t -> (Vset.t -> bool) -> bool
-(** First-counterexample early exit over {!iter}. Never vacuous:
-    {!iter} raises [Cqa.Empty_family] rather than yield nothing. *)
 
 val member : Family.name -> t -> Vset.t -> bool
 (** Membership in the global family, decided component-wise: [r] is a
@@ -222,6 +215,15 @@ val certainty : Family.name -> t -> Query.Ast.t -> Cqa.certainty
     in the largest component alone. Raises [Cqa.Empty_family] on a P1
     violation and [Invalid_argument] on open queries. *)
 
+type verdict = Sharded.verdict
+
+val explain : Family.name -> t -> Query.Ast.t -> verdict
+(** {!certainty} with the witnesses its route held when it decided,
+    completed to preferred repairs with the free tuples and the first
+    cached repair of every other component (the choice {!one} makes).
+    [Ambiguous] carries both witnesses, a certain verdict the one of its
+    own truth value. No search beyond {!certainty}'s. *)
+
 val consistent_answer : Family.name -> t -> Query.Ast.t -> bool
 (** [certainty = Certainly_true], with the ground route short-cut to a
     single ¬Q satisfiability check. *)
@@ -241,6 +243,13 @@ val certain_tuples : Family.name -> t -> Vset.t
 val possible_tuples : Family.name -> t -> Vset.t
 (** Tuples belonging to at least one preferred repair. The complement
     consists of tuples the preferences rule out entirely. *)
+
+type tuple_status = Sharded.tuple_status
+
+val tuple_status : Family.name -> t -> Relational.Tuple.t -> tuple_status
+(** A live tuple's conflicts, dominance and fate, decided inside its
+    component from the repair cache. Raises [Invalid_argument] when the
+    tuple is not part of the instance. *)
 
 val aggregate_range :
   Family.name -> t -> Aggregate.agg -> (Aggregate.range, string) result

@@ -40,9 +40,6 @@ let repairs family c p =
   | G -> globally_optimal_among (Repair.all c) c p
   | C -> Winnow.all_results c p
 
-let repairs_relations family c p =
-  List.map (Repair.to_relation c) (repairs family c p)
-
 let check family c p candidate =
   Repair.is_repair c candidate
   &&

@@ -26,8 +26,6 @@ val repairs : name -> Conflict.t -> Priority.t -> Vset.t list
 (** The preferred repairs X-Rep≻F(r), sorted. Enumerative: exponential in
     the number of conflicts, like the repair space. *)
 
-val repairs_relations : name -> Conflict.t -> Priority.t -> Relation.t list
-
 val check : name -> Conflict.t -> Priority.t -> Vset.t -> bool
 (** X-repair checking. Polynomial for [Rep], [L], [S], [C]; for [G] a
     witness search over the repair space (co-NP-complete problem). *)

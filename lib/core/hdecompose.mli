@@ -80,8 +80,6 @@ val iter : Hfamily.name -> t -> (Vset.t -> unit) -> unit
 (** Stream the full preferred-repair set as the cross product of
     per-component repairs seeded with the free vertices. *)
 
-val exists : Hfamily.name -> t -> (Vset.t -> bool) -> bool
-val for_all : Hfamily.name -> t -> (Vset.t -> bool) -> bool
 val member : Hfamily.name -> t -> Vset.t -> bool
 val one : Hfamily.name -> t -> Vset.t option
 
@@ -98,12 +96,23 @@ val certainty : Hfamily.name -> t -> Query.Ast.t -> Cqa.certainty
 (** Ground route when possible, deviation-scan + cross-product streaming
     otherwise. Raises [Invalid_argument] on an open query. *)
 
+type verdict = Sharded.verdict
+
+val explain : Hfamily.name -> t -> Query.Ast.t -> verdict
+(** As {!Decompose.explain}. *)
+
 val consistent_answer : Hfamily.name -> t -> Query.Ast.t -> bool
 
 val consistent_answers_open :
   Hfamily.name -> t -> Query.Ast.t -> string list * Relational.Value.t list list
 (** Free variables (sorted) and the bindings answering the query in
     every preferred repair, as {!Decompose.consistent_answers_open}. *)
+
+type tuple_status = Sharded.tuple_status
+
+val tuple_status : Hfamily.name -> t -> Relational.Tuple.t -> tuple_status
+(** As {!Decompose.tuple_status}; conflicting means sharing a
+    hyperedge. *)
 
 val certain_tuples : Hfamily.name -> t -> Vset.t
 val possible_tuples : Hfamily.name -> t -> Vset.t
@@ -112,8 +121,6 @@ val aggregate_range :
   Hfamily.name -> t -> Aggregate.agg -> (Aggregate.range, string) result
 (** Aggregate ranges over the preferred repairs, as
     {!Decompose.aggregate_range}. *)
-
-val evaluate_in_repair : t -> Vset.t -> Query.Ast.t -> bool
 
 (** {2 Telemetry} *)
 

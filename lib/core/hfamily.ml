@@ -61,9 +61,6 @@ let repairs family h p =
     let all = Hyper.repairs h in
     List.filter (globally_optimal_among all p) all
 
-let repairs_relations family h p =
-  List.map (Hyper.to_relation h) (repairs family h p)
-
 (* Membership of one already-enumerated repair; skips the maximality
    test. Global needs the repair space for its witness search. *)
 let member family h p r' =
@@ -83,14 +80,5 @@ let iter family h p f =
   | Rep -> List.iter f (Hyper.repairs h)
   | Pareto -> List.iter f (repairs Pareto h p)
   | Global -> List.iter f (repairs Global h p)
-
-let exists family h p pred =
-  List.exists pred (repairs family h p)
-
-let for_all family h p pred =
-  List.for_all pred (repairs family h p)
-
-let one family h p =
-  match repairs family h p with [] -> None | r :: _ -> Some r
 
 let pp_name ppf n = Format.pp_print_string ppf (name_to_string n)

@@ -25,8 +25,6 @@ val name_of_string : string -> name option
 val repairs : name -> Hyper.t -> Hpriority.t -> Vset.t list
 (** The preferred repairs, sorted (a filter of {!Hyper.repairs}). *)
 
-val repairs_relations : name -> Hyper.t -> Hpriority.t -> Relation.t list
-
 val check : name -> Hyper.t -> Hpriority.t -> Vset.t -> bool
 (** Membership test. Polynomial for [Rep] and [Pareto]; for [Global] a
     witness search over the repair space. *)
@@ -42,8 +40,5 @@ val is_pareto_optimal : Hyper.t -> Hpriority.t -> Vset.t -> bool
 val global_improves : Hpriority.t -> over:Vset.t -> Vset.t -> bool
 
 val iter : name -> Hyper.t -> Hpriority.t -> (Vset.t -> unit) -> unit
-val exists : name -> Hyper.t -> Hpriority.t -> (Vset.t -> bool) -> bool
-val for_all : name -> Hyper.t -> Hpriority.t -> (Vset.t -> bool) -> bool
-val one : name -> Hyper.t -> Hpriority.t -> Vset.t option
 
 val pp_name : Format.formatter -> name -> unit

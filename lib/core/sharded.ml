@@ -95,6 +95,27 @@ end
 
 include Counters
 
+(* What [explain] and [tuple_status] return, declared outside [Make] as
+   [Counters] is, so that both instances share one record type. *)
+module Explanations = struct
+  type verdict = {
+    certainty : Cqa.certainty;
+    supporting : Vset.t option;  (** a preferred repair satisfying the query *)
+    refuting : Vset.t option;  (** a preferred repair falsifying it *)
+  }
+
+  type tuple_status = {
+    tuple : Tuple.t;
+    conflicts_with : Tuple.t list;  (** its conflict neighbourhood *)
+    dominated_by : Tuple.t list;  (** tuples preferred over it *)
+    dominates : Tuple.t list;  (** tuples it is preferred over *)
+    in_all : bool;  (** member of every preferred repair *)
+    in_some : bool;  (** member of at least one preferred repair *)
+  }
+end
+
+include Explanations
+
 (* repair counts multiply across components and overflow [int] long before
    they overflow anyone's patience: saturate instead of wrapping. Both
    arguments are >= 0, 0 annihilates and saturation triggers exactly when
@@ -135,6 +156,7 @@ module type SUBSTRATE = sig
   val to_relation : t -> Vset.t -> Relation.t
   val schema : t -> Schema.t
   val index : t -> Tuple.t -> int option
+  val index_exn : t -> Tuple.t -> int
   val tuple : t -> int -> Tuple.t
 
   val inserted : delta -> int list
@@ -151,6 +173,7 @@ module type SUBSTRATE = sig
     type t
 
     val dominated : t -> int -> Vset.t
+    val dominators : t -> int -> Vset.t
     val of_arcs_exn : substrate -> (int * int) list -> t
   end
 
@@ -167,6 +190,7 @@ end
 
 module Make (S : SUBSTRATE) = struct
   include Counters
+  include Explanations
 
   type t = {
     substrate : S.t;
@@ -627,16 +651,23 @@ module Make (S : SUBSTRATE) = struct
       ~rel_name:(Schema.name (S.schema d.substrate))
       ~index:(S.index d.substrate) clause
 
+  (* A witness as a route holds it when it decides: the ground route knows
+     only the local repairs it chose for the slots the query touches, a
+     streaming pass a whole repair. [complete] turns either into a
+     preferred repair; only [explain] pays for that. *)
+  type witness = Locals of (int * Vset.t) list | Whole of Vset.t
+
   (* A clause is satisfiable by a preferred repair iff each touched
      component has a preferred repair meeting the clause's demands there
      (P1 supplies arbitrary preferred repairs for untouched components, and
-     the family factorizes). *)
+     the family factorizes). The chosen local repairs, by slot, witness
+     it. *)
   exception Stop
 
-  let clause_satisfiable family d { Ground.required; forbidden } =
+  let clause_witness family d { Ground.required; forbidden } =
     (* a free vertex belongs to every preferred repair: forbidding one
        kills the clause outright, requiring one costs nothing *)
-    if not (Vset.is_empty (Vset.inter forbidden d.free)) then false
+    if not (Vset.is_empty (Vset.inter forbidden d.free)) then None
     else begin
       let touched =
         Vset.fold
@@ -656,6 +687,7 @@ module Make (S : SUBSTRATE) = struct
         && Vset.cardinal touched > 1
       then warm_slots family d (Vset.elements touched);
       let remaining = ref (Vset.cardinal touched) in
+      let chosen = ref [] in
       try
         Vset.iter
           (fun ci ->
@@ -664,48 +696,54 @@ module Make (S : SUBSTRATE) = struct
             let comp = d.components.(ci) in
             let req = Vset.inter required comp
             and forb = Vset.inter forbidden comp in
-            let ok =
-              List.exists
+            match
+              List.find_opt
                 (fun r -> Vset.subset req r && Vset.is_empty (Vset.inter forb r))
                 (preferred_within family d comp)
-            in
-            if not ok then begin
+            with
+            | Some r -> chosen := (ci, r) :: !chosen
+            | None ->
               if !remaining > 0 then
                 d.counters.early_exits <- d.counters.early_exits + 1;
-              raise Stop
-            end)
+              raise Stop)
           touched;
-        true
-      with Stop -> false
+        Some !chosen
+      with Stop -> None
     end
 
-  let some_preferred_satisfies family d q =
+  let some_preferred_satisfying family d q =
     match Query.Transform.ground_dnf q with
     | Error e -> Error e
     | Ok clauses ->
       List.fold_left
         (fun acc clause ->
           match acc with
-          | Error _ | Ok true -> acc
-          | Ok false -> (
+          | Error _ | Ok (Some _) -> acc
+          | Ok None -> (
             match demand_of_clause d clause with
             | Error e -> Error e
-            | Ok None -> Ok false
-            | Ok (Some demand) -> Ok (clause_satisfiable family d demand)))
-        (Ok false) clauses
+            | Ok None -> Ok None
+            | Ok (Some demand) -> Ok (clause_witness family d demand)))
+        (Ok None) clauses
+
+  (* The verdict with its (supporting, refuting) witnesses. When no
+     preferred repair satisfies not-Q, every one supports Q: the empty
+     choice, completed, is a witness. *)
+  let ground_route family d q =
+    match some_preferred_satisfying family d (Query.Ast.Not q) with
+    | Error e -> Error e
+    | Ok None -> Ok (Cqa.Certainly_true, Some (Locals []), None)
+    | Ok (Some refuting) -> (
+      let refuting = Some (Locals refuting) in
+      match some_preferred_satisfying family d q with
+      | Error e -> Error e
+      | Ok None -> Ok (Cqa.Certainly_false, None, refuting)
+      | Ok (Some supporting) -> Ok (Cqa.Ambiguous, Some (Locals supporting), refuting))
 
   let certainty_ground family d q =
     if not (Query.Ast.is_ground q) then
       Error "certainty_ground: query is not ground"
-    else
-      match some_preferred_satisfies family d (Query.Ast.Not q) with
-      | Error e -> Error e
-      | Ok false -> Ok Cqa.Certainly_true
-      | Ok true -> (
-        match some_preferred_satisfies family d q with
-        | Error e -> Error e
-        | Ok false -> Ok Cqa.Certainly_false
-        | Ok true -> Ok Cqa.Ambiguous)
+    else Result.map (fun (verdict, _, _) -> verdict) (ground_route family d q)
 
   (* --- streaming over the cross product --------------------------------- *)
 
@@ -747,13 +785,13 @@ module Make (S : SUBSTRATE) = struct
       go 0 d.free
     end
 
-  let exists family d pred =
+  (* never vacuous: [iter] raises [S.Empty_family] rather than yield
+     nothing *)
+  let for_all family d pred =
     try
-      iter family d (fun r -> if pred r then raise Stop);
-      false
-    with Stop -> true
-
-  let for_all family d pred = not (exists family d (fun r -> not (pred r)))
+      iter family d (fun r -> if not (pred r) then raise Stop);
+      true
+    with Stop -> false
 
   let member family d r =
     Vset.subset r (S.live d.substrate)
@@ -766,11 +804,29 @@ module Make (S : SUBSTRATE) = struct
            List.exists (Vset.equal local) (preferred_within family d comp))
          d.components
 
+  (* A witness as a preferred repair: the free set, the chosen local
+     repairs, and the first cached repair of every other slot. Built from
+     one element list — a union per slot would copy the dense set once
+     per component. *)
+  let complete family d = function
+    | Whole r -> r
+    | Locals chosen ->
+      warm family d;
+      let local ci =
+        match List.assoc_opt ci chosen with
+        | Some r -> r
+        | None -> (
+          match Hashtbl.find d.cache (family, ci) with
+          | r :: _ -> r
+          | [] -> raise (S.Empty_family family))
+      in
+      let ids = List.concat_map (fun ci -> Vset.elements (local ci)) (live_slots d) in
+      Vset.union d.free (Vset.of_list ids)
+
   let one family d =
-    match repair_matrix family d with
+    match complete family d (Locals []) with
     | exception S.Empty_family _ -> None
-    | lists ->
-      Some (Array.fold_left (fun acc l -> Vset.union acc l.(0)) d.free lists)
+    | r -> Some r
 
   (* The family's size and its first [limit] repairs: the size comes from
      [count] and the listing from [iter] cut after [limit] repairs, so
@@ -797,6 +853,21 @@ module Make (S : SUBSTRATE) = struct
 
   let evaluate_in_repair d r q =
     Planner.Engine.holds_relation (S.to_relation d.substrate r) q
+
+  (* The verdict of a streaming pass with its (supporting, refuting)
+     witnesses: the baseline repair on the side it evaluated to, the
+     first disagreeing repair found, if any, on the other. *)
+  exception Disagree of Vset.t
+
+  let decided v0 base disagreeing =
+    let base = Some (Whole base)
+    and other = Option.map (fun r -> Whole r) disagreeing in
+    let verdict =
+      if Option.is_some disagreeing then Cqa.Ambiguous
+      else if v0 then Cqa.Certainly_true
+      else Cqa.Certainly_false
+    in
+    if v0 then (verdict, base, other) else (verdict, other, base)
 
   (* Certainty of a quantified query by deviation scan + product fallback.
 
@@ -826,7 +897,7 @@ module Make (S : SUBSTRATE) = struct
       Obs.Span.annotate [ ("route", Obs.Event.Str "deviation-scan") ];
     if k = 0 then begin
       d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-      if eval d.free then Cqa.Certainly_true else Cqa.Certainly_false
+      decided (eval d.free) d.free None
     end
     else begin
       let base = Array.map (fun l -> l.(0)) lists in
@@ -844,7 +915,7 @@ module Make (S : SUBSTRATE) = struct
       let v0 = eval pre.(k) in
       let parallel = Pool.jobs () > 1 && not (Pool.in_parallel_region ()) in
       (* pass 1: single-component deviations from the baseline *)
-      let deviation_found =
+      let deviation =
         if not parallel then begin
           try
             for i = 0 to k - 1 do
@@ -857,17 +928,17 @@ module Make (S : SUBSTRATE) = struct
                 in
                 if eval r <> v0 then begin
                   d.counters.early_exits <- d.counters.early_exits + 1;
-                  raise Stop
+                  raise (Disagree r)
                 end
               done
             done;
-            false
-          with Stop -> true
+            None
+          with Disagree r -> Some r
         end
         else begin
           let shards = Array.init (Pool.jobs ()) (fun _ -> fresh_counters ()) in
           let stop = Atomic.make false in
-          let found = Atomic.make false in
+          let found = Atomic.make None in
           Pool.parallel_for ~stop ~n:k (fun ~worker i ->
               let z = shards.(worker) in
               z.components_examined <- z.components_examined + 1;
@@ -880,7 +951,7 @@ module Make (S : SUBSTRATE) = struct
                 in
                 if eval r <> v0 then begin
                   z.early_exits <- z.early_exits + 1;
-                  Atomic.set found true;
+                  Atomic.set found (Some r);
                   Atomic.set stop true
                 end;
                 incr j
@@ -889,7 +960,7 @@ module Make (S : SUBSTRATE) = struct
           Atomic.get found
         end
       in
-      if deviation_found then Cqa.Ambiguous
+      if Option.is_some deviation then decided v0 pre.(k) deviation
       else begin
         (* pass 2: a certain verdict needs the full product whenever two or
            more components can deviate simultaneously *)
@@ -898,34 +969,33 @@ module Make (S : SUBSTRATE) = struct
             (fun acc l -> if Array.length l > 1 then acc + 1 else acc)
             0 lists
         in
-        if multi < 2 then
-          if v0 then Cqa.Certainly_true else Cqa.Certainly_false
+        if multi < 2 then decided v0 pre.(k) None
         else begin
           if Obs.Span.enabled () then
             Obs.Span.annotate [ ("route", Obs.Event.Str "full-product") ];
-          let disagreed =
+          let disagreeing =
             if not parallel then begin
               let rec go i acc =
                 if i = k then begin
                   d.counters.combos_streamed <- d.counters.combos_streamed + 1;
                   if eval acc <> v0 then begin
                     d.counters.early_exits <- d.counters.early_exits + 1;
-                    raise Stop
+                    raise (Disagree acc)
                   end
                 end
                 else Array.iter (fun s -> go (i + 1) (Vset.union acc s)) lists.(i)
               in
               try
                 go 0 d.free;
-                false
-              with Stop -> true
+                None
+              with Disagree r -> Some r
             end
             else begin
               let shards =
                 Array.init (Pool.jobs ()) (fun _ -> fresh_counters ())
               in
               let stop = Atomic.make false in
-              let found = Atomic.make false in
+              let found = Atomic.make None in
               Pool.parallel_for ~stop ~n:(Array.length lists.(0))
                 (fun ~worker i0 ->
                   let z = shards.(worker) in
@@ -935,7 +1005,7 @@ module Make (S : SUBSTRATE) = struct
                       z.combos_streamed <- z.combos_streamed + 1;
                       if eval acc <> v0 then begin
                         z.early_exits <- z.early_exits + 1;
-                        Atomic.set found true;
+                        Atomic.set found (Some acc);
                         Atomic.set stop true
                       end
                     end
@@ -947,24 +1017,23 @@ module Make (S : SUBSTRATE) = struct
               Atomic.get found
             end
           in
-          if disagreed then Cqa.Ambiguous
-          else if v0 then Cqa.Certainly_true
-          else Cqa.Certainly_false
+          decided v0 pre.(k) disagreeing
         end
       end
     end
 
-  let certainty family d q =
+  (* Every closed query's verdict with the witnesses its route held. *)
+  let decide family d q =
     if not (Query.Ast.is_closed q) then
       invalid_arg "Decompose.certainty: open query";
     Obs.Span.with_span "cqa.certainty" ~args:[ family_arg family; substrate_arg ] @@ fun () ->
     let before = if Obs.Span.enabled () then Some (counters d) else None in
-    let verdict =
+    let decision =
       if Query.Ast.is_ground q then
-        match certainty_ground family d q with
-        | Ok cert ->
+        match ground_route family d q with
+        | Ok decision ->
           Obs.Span.annotate [ ("route", Obs.Event.Str "ground") ];
-          cert
+          decision
         | Error _ ->
           (* unknown relation, arity mismatch, ...: fall back to the generic
              evaluator so the verdict matches the whole-graph path *)
@@ -974,6 +1043,7 @@ module Make (S : SUBSTRATE) = struct
     (match before with
     | None -> ()
     | Some b ->
+      let verdict, _, _ = decision in
       let z = d.counters in
       Obs.Span.annotate
         [
@@ -985,12 +1055,21 @@ module Make (S : SUBSTRATE) = struct
             Obs.Event.Int (z.components_examined - b.components_examined) );
           ("early_exits", Obs.Event.Int (z.early_exits - b.early_exits));
         ]);
+    decision
+
+  let certainty family d q =
+    let verdict, _, _ = decide family d q in
     verdict
+
+  let explain family d q =
+    let certainty, supporting, refuting = decide family d q in
+    let complete = Option.map (complete family d) in
+    { certainty; supporting = complete supporting; refuting = complete refuting }
 
   let consistent_answer family d q =
     if Query.Ast.is_ground q then
-      match some_preferred_satisfies family d (Query.Ast.Not q) with
-      | Ok sat -> not sat
+      match some_preferred_satisfying family d (Query.Ast.Not q) with
+      | Ok refuting -> Option.is_none refuting
       | Error _ -> for_all family d (fun r -> evaluate_in_repair d r q)
     else begin
       if not (Query.Ast.is_closed q) then
@@ -1037,6 +1116,22 @@ module Make (S : SUBSTRATE) = struct
       (fun acc comp ->
         List.fold_left Vset.union acc (preferred_within family d comp))
       d.free d
+
+  (* A tuple's conflicts and dominance, read off the live structures, and
+     its fate, decided inside its component (the families factorize). *)
+  let tuple_status family d t =
+    let v = S.index_exn d.substrate t in
+    let tuples s = List.map (S.tuple d.substrate) (Vset.elements s) in
+    let repairs = preferred_within family d (component_of d v) in
+    if repairs = [] then raise (S.Empty_family family);
+    {
+      tuple = t;
+      conflicts_with = tuples (S.neighbors d.substrate v);
+      dominated_by = tuples (S.Priority.dominators d.priority v);
+      dominates = tuples (S.Priority.dominated d.priority v);
+      in_all = List.for_all (Vset.mem v) repairs;
+      in_some = List.exists (Vset.mem v) repairs;
+    }
 
   (* --- aggregates --------------------------------------------------------- *)
 

@@ -106,9 +106,9 @@ let help_text =
   \  metrics              process metrics in Prometheus text format\n\
   \  help                 this text\n\
   \  quit                 leave\n\
-   On an instance declaring denials, repairs, count, facts, query,\n\
-   profile and aggregate answer on the conflict hypergraph; stats,\n\
-   clean, trace, qtrace, explain and status need an FD-only instance."
+   On an instance declaring denials, every repair question answers on\n\
+   the conflict hypergraph; stats, clean, trace and qtrace need an\n\
+   FD-only instance."
 
 (* The denial constraints in force: the spec's own [denial] declarations
    followed by its FDs compiled to denial form. *)
@@ -162,6 +162,8 @@ type answers = {
   certain : unit -> Graphs.Vset.t;
   possible : unit -> Graphs.Vset.t;
   certainty : Query.Ast.t -> Core.Cqa.certainty;
+  explain : Query.Ast.t -> Core.Sharded.verdict;
+  status : Tuple.t -> Core.Sharded.tuple_status;
   open_answers : Query.Ast.t -> string list * Value.t list list;
   aggregate : Core.Aggregate.agg -> (Core.Aggregate.range, string) result;
   check : Relation.t -> bool;
@@ -180,6 +182,8 @@ let binary_answers fam eng =
     certain = (fun () -> D.certain_tuples fam d);
     possible = (fun () -> D.possible_tuples fam d);
     certainty = D.certainty fam d;
+    explain = D.explain fam d;
+    status = D.tuple_status fam d;
     open_answers = D.consistent_answers_open fam d;
     aggregate = D.aggregate_range fam d;
     check = Family.check_relation fam c (Core.Delta.priority eng);
@@ -197,6 +201,8 @@ let hyper_answers fam { h; hp; hd } =
     certain = (fun () -> D.certain_tuples fam hd);
     possible = (fun () -> D.possible_tuples fam hd);
     certainty = D.certainty fam hd;
+    explain = D.explain fam hd;
+    status = D.tuple_status fam hd;
     open_answers = D.consistent_answers_open fam hd;
     aggregate = D.aggregate_range fam hd;
     check = Core.Hfamily.check_relation fam h hp;
@@ -228,23 +234,20 @@ let with_answers st k =
   with_instance st (fun i ->
       match answers_of st i with Error e -> "error: " ^ e | Ok a -> k a)
 
-(* The FD engine of any spec. *)
-let with_engine st k =
-  with_instance st (fun i ->
-      match i.engine with Error e -> "error: " ^ e | Ok eng -> k i.spec eng)
-
 (* The commands defined on the binary conflict graph only: on a spec
    that declares denials they would answer as if the denials did not
    exist. *)
 let with_binary cmd st k =
-  match st.inst with
-  | Some i when declares_denials i.spec ->
-    Printf.sprintf
-      "error: %s runs on the FD conflict graph, which ignores the instance's \
-       denial constraints (under denials use: repairs, count, facts, query, \
-       profile, aggregate)"
-      cmd
-  | _ -> with_engine st k
+  with_instance st (fun i ->
+      match i.engine with
+      | _ when declares_denials i.spec ->
+        Printf.sprintf
+          "error: %s runs on the FD conflict graph, which ignores the instance's \
+           denial constraints (under denials use: repairs, count, facts, query, \
+           profile, aggregate, explain, status)"
+          cmd
+      | Error e -> "error: " ^ e
+      | Ok eng -> k eng)
 
 let parsed text k =
   match Query.Parser.parse text with Error e -> "error: " ^ e | Ok q -> k q
@@ -349,7 +352,7 @@ let cmd_facts st =
           show "excluded" (Graphs.Vset.diff (a.live ()) possible)))
 
 let cmd_stats st =
-  with_binary "stats" st (fun _spec eng ->
+  with_binary "stats" st (fun eng ->
       buffer_out (fun ppf ->
           Format.fprintf ppf "%a@." Core.Stats.pp
             (Core.Stats.compute_with (family st) (Core.Delta.decompose eng));
@@ -359,7 +362,7 @@ let cmd_stats st =
           Format.fprintf ppf "%a" Planner.Stats.pp (Core.Delta.column_stats eng)))
 
 let cmd_clean st =
-  with_binary "clean" st (fun _spec eng ->
+  with_binary "clean" st (fun eng ->
       let report =
         Core.Clean.run_with_priority (Core.Delta.conflict eng) (Core.Delta.priority eng)
       in
@@ -370,7 +373,7 @@ let cmd_clean st =
             report.Core.Clean.cleaned))
 
 let cmd_trace st =
-  with_binary "trace" st (fun _spec eng ->
+  with_binary "trace" st (fun eng ->
       let c = Core.Delta.conflict eng in
       buffer_out (fun ppf ->
           Format.fprintf ppf "%a" (Core.Trace.pp c)
@@ -398,7 +401,7 @@ let answer a q =
 let cmd_query st text = with_answers st (fun a -> parsed text (answer a))
 
 let cmd_qtrace st text =
-  with_binary "qtrace" st (fun _spec eng ->
+  with_binary "qtrace" st (fun eng ->
       parsed text (fun q ->
           if not (Query.Ast.is_closed q) then "error: qtrace requires a closed query"
           else
@@ -455,17 +458,16 @@ let planner_report spec eng q =
     (Database.of_relations [ spec.IF.relation ])
     q
 
-let planner_run st text =
+let plan_of st q =
   match st.inst with
   | None -> Error no_instance
   | Some { engine = Error e; _ } -> Error e
   | Some { spec; engine = Ok eng; _ } -> (
-    match Query.Parser.parse text with
-    | Error e -> Error e
-    | Ok q -> (
-      match planner_report spec eng q with
-      | report -> Ok report
-      | exception Invalid_argument m -> Error m))
+    match planner_report spec eng q with
+    | report -> Ok report
+    | exception Invalid_argument m -> Error m)
+
+let planner_run st text = Result.bind (Query.Parser.parse text) (plan_of st)
 
 let cmd_plan st text =
   with_instance st (fun _ ->
@@ -484,20 +486,36 @@ let explain_report st text =
         Planner.Explain.to_json report ))
     (planner_run st text)
 
+let pp_tuples ppf ts =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+    Tuple.pp ppf ts
+
+let pp_verdict a ppf (v : Core.Sharded.verdict) =
+  Format.fprintf ppf "@[<v>%s@," (Core.Cqa.certainty_to_string v.certainty);
+  let witness label = function
+    | None -> ()
+    | Some s ->
+      Format.fprintf ppf "  %s  {%a}@," label pp_tuples
+        (List.map a.tuple (Graphs.Vset.elements s))
+  in
+  witness "holds in:" v.supporting;
+  witness "fails in:" v.refuting;
+  Format.fprintf ppf "@]"
+
 let cmd_explain st text =
-  with_binary "explain" st (fun spec eng ->
+  with_answers st (fun a ->
       parsed text (fun q ->
           if not (Query.Ast.is_closed q) then "error: explain requires a closed query"
           else
-            let c = Core.Delta.conflict eng and p = Core.Delta.priority eng in
-            buffer_out (fun ppf ->
-                (* the plan every per-repair certainty check executes,
-                   shown over the current instance *)
-                Format.fprintf ppf "%a@." Planner.Explain.pp_plan_only
-                  (planner_report spec eng q);
-                Format.fprintf ppf "%a"
-                  (Core.Explain.pp_verdict c)
-                  (Core.Explain.query (family st) c p q))))
+            match plan_of st q with
+            | Error e -> "error: " ^ e
+            | Ok report ->
+              buffer_out (fun ppf ->
+                  (* the plan every per-repair certainty check executes,
+                     shown over the current instance *)
+                  Format.fprintf ppf "%a@." Planner.Explain.pp_plan_only report;
+                  Format.fprintf ppf "%a" (pp_verdict a) (a.explain q))))
 
 (* Parse VALUES against the loaded schema by round-tripping a one-tuple
    instance document — shared by [status], [insert] and [delete]. *)
@@ -521,19 +539,29 @@ let parse_tuple spec values =
     | [ t ] -> Ok t
     | _ -> Error "expected exactly one tuple")
 
+let pp_tuple_status ppf (st : Core.Sharded.tuple_status) =
+  let pp_tuples ppf = function
+    | [] -> Format.pp_print_string ppf "(none)"
+    | ts -> pp_tuples ppf ts
+  in
+  Format.fprintf ppf
+    "@[<v>tuple %a@,  conflicts with: %a@,  dominated by:   %a@,  dominates:      \
+     %a@,  status: %s@]"
+    Tuple.pp st.tuple pp_tuples st.conflicts_with pp_tuples st.dominated_by
+    pp_tuples st.dominates
+    (if st.in_all then "kept in every preferred repair"
+     else if st.in_some then "kept in some preferred repairs (disputed)"
+     else "removed from every preferred repair")
+
 let cmd_status st values =
-  with_binary "status" st (fun spec eng ->
-      match parse_tuple spec values with
-      | Error e -> "error: " ^ e
-      | Ok t -> (
-        match
-          Core.Explain.tuple_status (family st) (Core.Delta.conflict eng)
-            (Core.Delta.priority eng) t
-        with
-        | status ->
-          buffer_out (fun ppf ->
-              Format.fprintf ppf "%a" Core.Explain.pp_tuple_status status)
-        | exception Invalid_argument m -> "error: " ^ m))
+  with_instance st (fun i ->
+      with_answers st (fun a ->
+          match parse_tuple i.spec values with
+          | Error e -> "error: " ^ e
+          | Ok t -> (
+            match a.status t with
+            | status -> buffer_out (fun ppf -> pp_tuple_status ppf status)
+            | exception Invalid_argument m -> "error: " ^ m)))
 
 let cmd_aggregate st spec_text =
   with_answers st (fun a ->

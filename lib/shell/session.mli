@@ -60,7 +60,8 @@
     v}
 
     The repair commands ([repairs], [count], [facts], [query],
-    [profile], [aggregate]) answer on the substrate the loaded spec
+    [profile], [explain], [status], [aggregate]) answer on the substrate
+    the loaded spec
     needs. A spec with only FDs answers on the binary conflict graph of
     the incremental engine, in every family; the default is C-Rep. A
     spec that declares denial constraints answers on its conflict
@@ -69,9 +70,8 @@
     [g]/[global] select Rep, Pareto- and globally-optimal repairs, the
     default is Rep, and L-/C-Rep are an error. Labels come from the
     substrate: [S-Rep]/[G-Rep] on FD specs, [Pareto]/[Global] on denial
-    specs. [stats], [clean], [trace], [qtrace], [explain] and [status]
-    are defined on the binary graph only and return an error on a denial
-    spec. *)
+    specs. [stats], [clean], [trace] and [qtrace] are defined on the
+    binary graph only and return an error on a denial spec. *)
 
 type state
 

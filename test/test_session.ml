@@ -324,11 +324,10 @@ let emp_denials =
    tuple 'John' 'PR' 30\n\
    tuple 'Ann' 'HQ' 500\n"
 
-(* stats, clean, trace, qtrace, explain and status are defined on the
-   binary conflict graph of the FDs: on a spec that declares denials they
-   refuse rather than answer as if the denials did not exist (Ann
-   violates [cap], so she is in no repair), and name the commands that
-   do answer there. *)
+(* stats, clean, trace and qtrace are defined on the binary conflict
+   graph of the FDs: on a spec that declares denials they refuse rather
+   than answer as if the denials did not exist (Ann violates [cap], so
+   she is in no repair), and name the commands that do answer there. *)
 let test_denial_spec_refuses_fd_answers () =
   let st = load_text emp_denials in
   List.iter
@@ -337,13 +336,20 @@ let test_denial_spec_refuses_fd_answers () =
       Alcotest.(check bool) (cmd ^ " is an error") true
         (Session.is_error_output out);
       Alcotest.(check bool) (cmd ^ " names the answering commands") true
-        (contains ~needle:"repairs, count, facts, query, profile, aggregate" out))
-    [
-      "qtrace Emp('Ann', 'HQ', 500)"; "explain Emp('Ann', 'HQ', 500)";
-      "stats"; "clean"; "trace"; "status 'Ann' 'HQ' 500";
-    ];
+        (contains
+           ~needle:"repairs, count, facts, query, profile, aggregate, explain, status"
+           out))
+    [ "qtrace Emp('Ann', 'HQ', 500)"; "stats"; "clean"; "trace" ];
   let _, out = Session.exec st "hyper query Emp('Ann', 'HQ', 500)" in
   check Alcotest.string "hyper query" "Rep: certainly false" out;
+  (* explain and status answer on the hypergraph: the 1-ary cap edge
+     removes Ann from every repair *)
+  let _, out = Session.exec st "explain Emp('Ann', 'HQ', 500)" in
+  Alcotest.(check bool) "explain answers" true
+    (contains ~needle:"certainly false\n  fails in:  {" out);
+  let _, out = Session.exec st "status 'Ann' 'HQ' 500" in
+  Alcotest.(check bool) "status answers" true
+    (contains ~needle:"status: removed from every preferred repair" out);
   let _, out = Session.exec st "hyper count" in
   check Alcotest.string "hyper count"
     "Rep: 2 preferred repair(s) across 3 component(s)" out;
@@ -437,6 +443,70 @@ let test_denials_keep_the_fds () =
     && contains ~needle:"'cap'" out
     && contains ~needle:"t1.Name = t2.Name and t1.Dept != t2.Dept" out)
 
+(* explain on an instance with 2^62 Rep repairs: the ground route and
+   the deviation scan decide with their own witnesses, streaming no more
+   combinations than the baseline plus one per component repair. *)
+let test_explain_bounded_work () =
+  let path = "../examples/chains_32x8.pref" in
+  let st, msg = Session.exec Session.initial ("load " ^ path) in
+  Alcotest.(check bool) "chains loaded" false (Session.is_error_output msg);
+  let spec = Result.get_ok (Dbio.Instance_format.parse_file path) in
+  let rule = Result.get_ok (Dbio.Instance_format.to_rule spec) in
+  let eng = Result.get_ok (Core.Delta.create ~rule spec.fds spec.relation) in
+  let d = Core.Delta.decompose eng in
+  let bound fam =
+    List.fold_left
+      (fun acc comp -> acc + Core.Decompose.count_within fam d comp)
+      1 (Core.Decompose.components d)
+  in
+  let streamed st cmd =
+    let buf = Obs.Sink.Memory.create () in
+    Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
+    let _, out =
+      Fun.protect
+        ~finally:(fun () -> Obs.Span.set_sink None)
+        (fun () -> Session.exec st cmd)
+    in
+    let combos =
+      List.fold_left
+        (fun acc (e : Obs.Event.t) ->
+          match (e.phase, List.assoc_opt "combos_streamed" e.args) with
+          | Obs.Event.End, Some (Obs.Event.Int n) when e.name = "cqa.certainty" ->
+            acc + n
+          | _ -> acc)
+        0 (Obs.Sink.Memory.events buf)
+    in
+    (out, combos)
+  in
+  let rep, msg = Session.exec st "family rep" in
+  check Alcotest.string "family" "family: Rep" msg;
+  let out, combos = streamed rep "explain R(1, 1, 0, 2)" in
+  Alcotest.(check bool) "ground: ambiguous with both witnesses" true
+    (contains ~needle:"ambiguous\n  holds in:  {" out && contains ~needle:"fails in:  {" out);
+  Alcotest.(check bool) "ground: bounded work" true (combos <= bound Family.Rep);
+  let out, combos = streamed st "explain exists a,c. R(a, 1, c, 2)" in
+  Alcotest.(check bool) "quantified: certainly false under C" true
+    (contains ~needle:"certainly false\n  fails in:  {" out
+    && not (contains ~needle:"holds in" out));
+  Alcotest.(check bool) "quantified: baseline streamed, bounded work" true
+    (combos >= 1 && combos <= bound Family.C)
+
+(* status reads the live engine: no request rebuilds the decomposition. *)
+let test_status_builds_nothing () =
+  let st = load () in
+  let buf = Obs.Sink.Memory.create () in
+  Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
+  Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) (fun () ->
+      List.iter
+        (fun t -> ignore (Session.exec st ("status " ^ t)))
+        [ "'Mary' 'R&D' 40000 3"; "'Mary' 'IT' 20000 1"; "'John' 'PR' 30000 4" ]);
+  let makes =
+    List.filter
+      (fun (e : Obs.Event.t) -> e.phase = Obs.Event.Begin && e.name = "decompose.make")
+      (Obs.Sink.Memory.events buf)
+  in
+  check Alcotest.int "no decompose.make" 0 (List.length makes)
+
 let suite =
   [
     ("initial state", `Quick, test_initial_state);
@@ -458,4 +528,6 @@ let suite =
      test_denial_spec_refuses_fd_answers);
     ("denial specs answer on the hypergraph", `Quick, test_denial_spec_answers);
     ("declared denials keep the FDs", `Quick, test_denials_keep_the_fds);
+    ("explain on 2^62 repairs does bounded work", `Quick, test_explain_bounded_work);
+    ("status rebuilds no decomposition", `Quick, test_status_builds_nothing);
   ]
