@@ -798,7 +798,10 @@ let serve_call_cmd =
         if out <> "" then print_endline out;
         0
       | Error e ->
-        Format.eprintf "error: %s@." e;
+        (* a session's error reply already reads [error: ...]; a
+           connection failure does not *)
+        if Session.is_error_output e then Format.eprintf "%s@." e
+        else Format.eprintf "error: %s@." e;
         1
   in
   Cmd.v

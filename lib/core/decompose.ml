@@ -6,6 +6,8 @@ module Substrate = struct
   include Conflict
 
   let kind = "conflict"
+  let edge_count c = Graphs.Undirected.edge_count (graph c)
+
   let is_covered c =
     let g = graph c in
     fun v -> not (Graphs.Vset.is_empty (Graphs.Undirected.neighbors g v))
@@ -25,7 +27,12 @@ module Substrate = struct
     List.iter endpoints delta.edges_removed
 
   module Priority = Priority
-  module Family = Family
+
+  module Family = struct
+    include Family
+
+    let rep = Rep
+  end
 
   exception Empty_family = Cqa.Empty_family
 end

@@ -251,6 +251,23 @@ val tuple_status : Family.name -> t -> Relational.Tuple.t -> tuple_status
     component from the repair cache. Raises [Invalid_argument] when the
     tuple is not part of the instance. *)
 
+type summary = Sharded.summary
+
+val summary : Family.name -> t -> summary
+(** How inconsistent the instance is and how far the priority resolves
+    it: tuples, conflicts, components, the Rep and family counts and the
+    tuple fates, read off the covered components and the free set (no
+    free tuple is given a component of its own). [fate_counters] is
+    what deciding the fates cost the cache — one warm and one cached
+    read per component. *)
+
+type qtrace = Sharded.qtrace
+
+val qtrace : Family.name -> t -> Query.Ast.t -> qtrace
+(** {!certainty} with the counters it spent and the family's repair
+    count per covered component (the free tuples as one number). Same
+    exceptions as {!certainty}. *)
+
 val aggregate_range :
   Family.name -> t -> Aggregate.agg -> (Aggregate.range, string) result
 (** Aggregate ranges over the preferred repairs, summed/combined across

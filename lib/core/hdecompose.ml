@@ -7,6 +7,7 @@ module Substrate = struct
   include Hyper
 
   let kind = "hyper"
+  let edge_count h = Graphs.Hypergraph.edge_count (hypergraph h)
 
   let is_covered h =
     let covered = Graphs.Hypergraph.covered (hypergraph h) in
@@ -28,7 +29,12 @@ module Substrate = struct
     List.iter (Graphs.Vset.iter f) delta.edges_removed
 
   module Priority = Hpriority
-  module Family = Hfamily
+
+  module Family = struct
+    include Hfamily
+
+    let rep = Rep
+  end
 
   exception Empty_family of Hfamily.name
 end

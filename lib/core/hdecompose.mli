@@ -114,6 +114,18 @@ val tuple_status : Hfamily.name -> t -> Relational.Tuple.t -> tuple_status
 (** As {!Decompose.tuple_status}; conflicting means sharing a
     hyperedge. *)
 
+type summary = Sharded.summary
+
+val summary : Hfamily.name -> t -> summary
+(** As {!Decompose.summary}; the conflict edges are the hyperedges, and
+    the priority's open pairs are the co-edge pairs it leaves
+    unoriented. *)
+
+type qtrace = Sharded.qtrace
+
+val qtrace : Hfamily.name -> t -> Query.Ast.t -> qtrace
+(** As {!Decompose.qtrace}. *)
+
 val certain_tuples : Hfamily.name -> t -> Vset.t
 val possible_tuples : Hfamily.name -> t -> Vset.t
 

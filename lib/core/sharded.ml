@@ -72,6 +72,23 @@ module Counters = struct
     dst.cache_evicted <- dst.cache_evicted + z.cache_evicted;
     dst.cache_retained <- dst.cache_retained + z.cache_retained
 
+  (* [a - b], field by field: what was spent between two snapshots *)
+  let diff_counters a b =
+    {
+      cache_hits = a.cache_hits - b.cache_hits;
+      cache_misses = a.cache_misses - b.cache_misses;
+      component_repairs = a.component_repairs - b.component_repairs;
+      combos_streamed = a.combos_streamed - b.combos_streamed;
+      components_examined = a.components_examined - b.components_examined;
+      early_exits = a.early_exits - b.early_exits;
+      deltas_applied = a.deltas_applied - b.deltas_applied;
+      edges_added = a.edges_added - b.edges_added;
+      edges_removed = a.edges_removed - b.edges_removed;
+      components_dirtied = a.components_dirtied - b.components_dirtied;
+      cache_evicted = a.cache_evicted - b.cache_evicted;
+      cache_retained = a.cache_retained - b.cache_retained;
+    }
+
   let pp_counters ppf z =
     Format.fprintf ppf
       "@[<v>component cache:        %d hit(s), %d miss(es), %d repair(s) \
@@ -116,6 +133,44 @@ end
 
 include Explanations
 
+(* What [summary] and [qtrace] return, shared by both instances for the
+   same reason. *)
+module Reports = struct
+  type summary = {
+    tuples : int;  (** live tuples *)
+    conflicting_tuples : int;  (** tuples in some conflict *)
+    components : int;  (** conflict components, a free tuple counting as one *)
+    nontrivial_components : int;  (** components with ≥ 2 tuples *)
+    largest_component : int;
+    conflict_edges : int;  (** conflict edges, or hyperedges *)
+    oriented_arcs : int;  (** priority arcs *)
+    unoriented_pairs : int;  (** conflicting pairs the priority leaves open *)
+    repair_count : int;  (** |Rep|, saturating at [max_int] *)
+    preferred_count : int;  (** the family's count, saturating *)
+    certain : int;  (** tuples in every preferred repair *)
+    disputed : int;  (** tuples in some but not all *)
+    excluded : int;  (** tuples in no preferred repair *)
+    fate_counters : counters;  (** spent deciding the tuple fates *)
+    lifetime : counters;
+        (** lifetime snapshot; its delta fields describe every update
+            folded into the engine so far *)
+  }
+
+  type qtrace = {
+    verdict : Cqa.certainty;
+    query_counters : counters;  (** spent on this query alone *)
+    maintenance : counters;  (** lifetime snapshot, taken after the query *)
+    slot_repairs : int list;
+        (** the family's repair count of each covered component, in slot
+            order; their product is the family's size *)
+    free_tuples : int;
+        (** conflict-free tuples: one component and one repair each *)
+    largest : int;  (** the largest component's size *)
+  }
+end
+
+include Reports
+
 (* repair counts multiply across components and overflow [int] long before
    they overflow anyone's patience: saturate instead of wrapping. Both
    arguments are >= 0, 0 annihilates and saturation triggers exactly when
@@ -140,6 +195,9 @@ module type SUBSTRATE = sig
 
   val neighbors : t -> int -> Vset.t
   (** vertices sharing a conflict with the given one *)
+
+  val edge_count : t -> int
+  (** conflict edges, or hyperedges *)
 
   val is_covered : t -> int -> bool
   (** Is the vertex in some conflict? A vertex in none is {e free}: it
@@ -175,10 +233,17 @@ module type SUBSTRATE = sig
     val dominated : t -> int -> Vset.t
     val dominators : t -> int -> Vset.t
     val of_arcs_exn : substrate -> (int * int) list -> t
+    val arc_count : t -> int
+
+    val unoriented : substrate -> t -> (int * int) list
+    (** the conflicting pairs no arc orients *)
   end
 
   module Family : sig
     type name
+
+    val rep : name
+    (** all repairs, unfiltered by the priority *)
 
     val name_to_string : name -> string
     val repairs : name -> substrate -> Priority.t -> Vset.t list
@@ -191,6 +256,7 @@ end
 module Make (S : SUBSTRATE) = struct
   include Counters
   include Explanations
+  include Reports
 
   type t = {
     substrate : S.t;
@@ -334,6 +400,12 @@ module Make (S : SUBSTRATE) = struct
   (* an immutable snapshot (a fresh copy), so callers can diff across a
      run *)
   let counters d = { d.counters with cache_hits = d.counters.cache_hits }
+
+  (* [f ()] with the counters it spent *)
+  let spent d f =
+    let before = counters d in
+    let x = f () in
+    (x, diff_counters d.counters before)
 
   let reset_counters d =
     let z = d.counters in
@@ -519,7 +591,7 @@ module Make (S : SUBSTRATE) = struct
   (* Solve one component: everything here is pure with respect to [d] —
      [sub_context] rebuilds a compact task-local instance — except the
      counter bumps, which go to the caller-chosen shard [z]. That is what
-     lets [parallel_warm] run this on worker domains. *)
+     lets [warm_slots] run this on worker domains. *)
   let solve_component z d family comp =
     Obs.Span.with_span "decompose.component"
       ~args:(component_args family comp)
@@ -560,30 +632,30 @@ module Make (S : SUBSTRATE) = struct
         repairs
     end
 
-  (* --- the parallel cache fill ------------------------------------------- *)
+  (* --- the pool passes ---------------------------------------------------- *)
 
-  let parallel_warm family d todo =
-    (* [todo]: (slot, component) pairs, ascending slot order. Each index is
-       an independent component solve; counters shard per worker lane and
-       the submitting domain publishes the cache writes in slot order after
-       the join — workers never touch [d.cache] (sharded ownership: steals
-       publish through the owner). *)
-    let todo = Array.of_list todo in
-    let n = Array.length todo in
-    let results = Array.make n [] in
-    let shards = Array.init (Pool.jobs ()) (fun _ -> fresh_counters ()) in
-    Pool.parallel_for ~n (fun ~worker i ->
-        let _, comp = todo.(i) in
-        results.(i) <- solve_component shards.(worker) d family comp);
-    Array.iteri
-      (fun i (ci, _) -> Hashtbl.replace d.cache (family, ci) results.(i))
-      todo;
-    Array.iter (fun z -> merge_counters d.counters z) shards
+  (* Every pass below runs its body through [Pool.parallel_for], which
+     runs it inline on the caller when the pool has one lane or the call
+     comes from inside a job. Counters shard per lane: lane 0 is the
+     calling domain and bumps [d.counters] itself, the other lanes' shards
+     are folded in after the join, so the shared record is only ever
+     mutated by one domain and a one-lane pass allocates no shard. *)
+  let lane_shards d =
+    Array.init (Pool.jobs ()) (fun lane ->
+        if lane = 0 then d.counters else fresh_counters ())
+
+  let merge_shards d shards =
+    for lane = 1 to Array.length shards - 1 do
+      merge_counters d.counters shards.(lane)
+    done
 
   let warm_slots family d slots =
     (* equivalent to a sequential [preferred_within] sweep over the slots:
        one cache hit per already-cached component, one miss (plus a
-       "decompose.component" span and the repairs count) per filled one *)
+       "decompose.component" span and the repairs count) per filled one.
+       Each fill is an independent component solve; the caller publishes
+       the results in slot order after the join, so workers never touch
+       [d.cache]. *)
     let todo =
       List.filter_map
         (fun ci ->
@@ -594,19 +666,17 @@ module Make (S : SUBSTRATE) = struct
           else Some (ci, d.components.(ci)))
         slots
     in
-    match todo with
-    | [] -> ()
-    | [ (ci, comp) ] ->
-      Hashtbl.replace d.cache (family, ci)
-        (solve_component d.counters d family comp)
-    | todo ->
-      if Pool.jobs () <= 1 || Pool.in_parallel_region () then
-        List.iter
-          (fun (ci, comp) ->
-            Hashtbl.replace d.cache (family, ci)
-              (solve_component d.counters d family comp))
-          todo
-      else parallel_warm family d todo
+    if todo <> [] then begin
+      let todo = Array.of_list todo in
+      let results = Array.make (Array.length todo) [] in
+      let shards = lane_shards d in
+      Pool.parallel_for ~n:(Array.length todo) (fun ~worker i ->
+          results.(i) <- solve_component shards.(worker) d family (snd todo.(i)));
+      Array.iteri
+        (fun i (ci, _) -> Hashtbl.replace d.cache (family, ci) results.(i))
+        todo;
+      merge_shards d shards
+    end
 
   let warm family d = warm_slots family d (live_slots d)
 
@@ -857,8 +927,6 @@ module Make (S : SUBSTRATE) = struct
   (* The verdict of a streaming pass with its (supporting, refuting)
      witnesses: the baseline repair on the side it evaluated to, the
      first disagreeing repair found, if any, on the other. *)
-  exception Disagree of Vset.t
-
   let decided v0 base disagreeing =
     let base = Some (Whole base)
     and other = Option.map (fun r -> Whole r) disagreeing in
@@ -913,113 +981,50 @@ module Make (S : SUBSTRATE) = struct
       done;
       d.counters.combos_streamed <- d.counters.combos_streamed + 1;
       let v0 = eval pre.(k) in
-      let parallel = Pool.jobs () > 1 && not (Pool.in_parallel_region ()) in
-      (* pass 1: single-component deviations from the baseline *)
-      let deviation =
-        if not parallel then begin
-          try
-            for i = 0 to k - 1 do
-              d.counters.components_examined <-
-                d.counters.components_examined + 1;
-              for j = 1 to Array.length lists.(i) - 1 do
-                d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-                let r =
-                  Vset.union (Vset.union pre.(i) lists.(i).(j)) suf.(i + 1)
-                in
-                if eval r <> v0 then begin
-                  d.counters.early_exits <- d.counters.early_exits + 1;
-                  raise (Disagree r)
-                end
-              done
-            done;
-            None
-          with Disagree r -> Some r
-        end
-        else begin
-          let shards = Array.init (Pool.jobs ()) (fun _ -> fresh_counters ()) in
-          let stop = Atomic.make false in
-          let found = Atomic.make None in
-          Pool.parallel_for ~stop ~n:k (fun ~worker i ->
-              let z = shards.(worker) in
-              z.components_examined <- z.components_examined + 1;
-              let len = Array.length lists.(i) in
-              let j = ref 1 in
-              while !j < len && not (Atomic.get stop) do
-                z.combos_streamed <- z.combos_streamed + 1;
-                let r =
-                  Vset.union (Vset.union pre.(i) lists.(i).(!j)) suf.(i + 1)
-                in
-                if eval r <> v0 then begin
-                  z.early_exits <- z.early_exits + 1;
-                  Atomic.set found (Some r);
-                  Atomic.set stop true
-                end;
-                incr j
-              done);
-          Array.iter (fun z -> merge_counters d.counters z) shards;
-          Atomic.get found
-        end
+      let shards = lane_shards d in
+      let stop = Atomic.make false in
+      let found = Atomic.make None in
+      let disagree z r =
+        z.early_exits <- z.early_exits + 1;
+        Atomic.set found (Some r);
+        Atomic.set stop true
       in
-      if Option.is_some deviation then decided v0 pre.(k) deviation
-      else begin
-        (* pass 2: a certain verdict needs the full product whenever two or
-           more components can deviate simultaneously *)
-        let multi =
-          Array.fold_left
-            (fun acc l -> if Array.length l > 1 then acc + 1 else acc)
-            0 lists
-        in
-        if multi < 2 then decided v0 pre.(k) None
-        else begin
-          if Obs.Span.enabled () then
-            Obs.Span.annotate [ ("route", Obs.Event.Str "full-product") ];
-          let disagreeing =
-            if not parallel then begin
-              let rec go i acc =
-                if i = k then begin
-                  d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-                  if eval acc <> v0 then begin
-                    d.counters.early_exits <- d.counters.early_exits + 1;
-                    raise (Disagree acc)
-                  end
-                end
-                else Array.iter (fun s -> go (i + 1) (Vset.union acc s)) lists.(i)
-              in
-              try
-                go 0 d.free;
-                None
-              with Disagree r -> Some r
-            end
-            else begin
-              let shards =
-                Array.init (Pool.jobs ()) (fun _ -> fresh_counters ())
-              in
-              let stop = Atomic.make false in
-              let found = Atomic.make None in
-              Pool.parallel_for ~stop ~n:(Array.length lists.(0))
-                (fun ~worker i0 ->
-                  let z = shards.(worker) in
-                  let rec go i acc =
-                    if Atomic.get stop then ()
-                    else if i = k then begin
-                      z.combos_streamed <- z.combos_streamed + 1;
-                      if eval acc <> v0 then begin
-                        z.early_exits <- z.early_exits + 1;
-                        Atomic.set found (Some acc);
-                        Atomic.set stop true
-                      end
-                    end
-                    else
-                      Array.iter (fun s -> go (i + 1) (Vset.union acc s)) lists.(i)
-                  in
-                  go 1 (Vset.union d.free lists.(0).(i0)));
-              Array.iter (fun z -> merge_counters d.counters z) shards;
-              Atomic.get found
-            end
-          in
-          decided v0 pre.(k) disagreeing
-        end
-      end
+      (* pass 1: single-component deviations from the baseline *)
+      Pool.parallel_for ~stop ~n:k (fun ~worker i ->
+          let z = shards.(worker) in
+          z.components_examined <- z.components_examined + 1;
+          let len = Array.length lists.(i) in
+          let j = ref 1 in
+          while !j < len && not (Atomic.get stop) do
+            z.combos_streamed <- z.combos_streamed + 1;
+            let r = Vset.union (Vset.union pre.(i) lists.(i).(!j)) suf.(i + 1) in
+            if eval r <> v0 then disagree z r;
+            incr j
+          done);
+      (* pass 2: a certain verdict needs the full product whenever two or
+         more components can deviate simultaneously *)
+      let multi =
+        Array.fold_left
+          (fun acc l -> if Array.length l > 1 then acc + 1 else acc)
+          0 lists
+      in
+      if Option.is_none (Atomic.get found) && multi >= 2 then begin
+        if Obs.Span.enabled () then
+          Obs.Span.annotate [ ("route", Obs.Event.Str "full-product") ];
+        Pool.parallel_for ~stop ~n:(Array.length lists.(0)) (fun ~worker i0 ->
+            let z = shards.(worker) in
+            let rec go i acc =
+              if Atomic.get stop then ()
+              else if i = k then begin
+                z.combos_streamed <- z.combos_streamed + 1;
+                if eval acc <> v0 then disagree z acc
+              end
+              else Array.iter (fun s -> go (i + 1) (Vset.union acc s)) lists.(i)
+            in
+            go 1 (Vset.union d.free lists.(0).(i0)))
+      end;
+      merge_shards d shards;
+      decided v0 pre.(k) (Atomic.get found)
     end
 
   (* Every closed query's verdict with the witnesses its route held. *)
@@ -1027,8 +1032,7 @@ module Make (S : SUBSTRATE) = struct
     if not (Query.Ast.is_closed q) then
       invalid_arg "Decompose.certainty: open query";
     Obs.Span.with_span "cqa.certainty" ~args:[ family_arg family; substrate_arg ] @@ fun () ->
-    let before = if Obs.Span.enabled () then Some (counters d) else None in
-    let decision =
+    let route () =
       if Query.Ast.is_ground q then
         match ground_route family d q with
         | Ok decision ->
@@ -1040,22 +1044,20 @@ module Make (S : SUBSTRATE) = struct
           certainty_streaming family d q
       else certainty_streaming family d q
     in
-    (match before with
-    | None -> ()
-    | Some b ->
-      let verdict, _, _ = decision in
-      let z = d.counters in
+    if not (Obs.Span.enabled ()) then route ()
+    else begin
+      let ((verdict, _, _) as decision), z = spent d route in
       Obs.Span.annotate
         [
           ("verdict", Obs.Event.Str (Cqa.certainty_to_string verdict));
-          ("cache_hits", Obs.Event.Int (z.cache_hits - b.cache_hits));
-          ("cache_misses", Obs.Event.Int (z.cache_misses - b.cache_misses));
-          ("combos_streamed", Obs.Event.Int (z.combos_streamed - b.combos_streamed));
-          ( "components_examined",
-            Obs.Event.Int (z.components_examined - b.components_examined) );
-          ("early_exits", Obs.Event.Int (z.early_exits - b.early_exits));
-        ]);
-    decision
+          ("cache_hits", Obs.Event.Int z.cache_hits);
+          ("cache_misses", Obs.Event.Int z.cache_misses);
+          ("combos_streamed", Obs.Event.Int z.combos_streamed);
+          ("components_examined", Obs.Event.Int z.components_examined);
+          ("early_exits", Obs.Event.Int z.early_exits);
+        ];
+      decision
+    end
 
   let certainty family d q =
     let verdict, _, _ = decide family d q in
@@ -1131,6 +1133,67 @@ module Make (S : SUBSTRATE) = struct
       dominates = tuples (S.Priority.dominated d.priority v);
       in_all = List.for_all (Vset.mem v) repairs;
       in_some = List.exists (Vset.mem v) repairs;
+    }
+
+  (* --- reports ------------------------------------------------------------ *)
+
+  (* Read off the slot array and the free set: no singleton component is
+     synthesized for a free tuple, so the summary costs the covered
+     components, not the instance. The fate counters cover one warm and
+     one cached read per slot — what [certain_tuples] then
+     [possible_tuples] would spend. *)
+  let summary family d =
+    let fates () =
+      warm family d;
+      fold_components
+        (fun (certain, possible) comp ->
+          match preferred_within family d comp with
+          | [] -> (certain, possible)
+          | first :: rest ->
+            ( certain + Vset.cardinal (List.fold_left Vset.inter first rest),
+              possible + Vset.cardinal (List.fold_left Vset.union first rest) ))
+        (0, 0) d
+    in
+    let (certain, possible), fate_counters = spent d fates in
+    let free = Vset.cardinal d.free in
+    let conflicting = fold_components (fun acc comp -> acc + Vset.cardinal comp) 0 d in
+    let repair_count = count S.Family.rep d in
+    let preferred_count = count family d in
+    {
+      tuples = free + conflicting;
+      conflicting_tuples = conflicting;
+      components = component_count d;
+      nontrivial_components =
+        fold_components
+          (fun acc comp -> if Vset.cardinal comp > 1 then acc + 1 else acc)
+          0 d;
+      largest_component = max_component d;
+      conflict_edges = S.edge_count d.substrate;
+      oriented_arcs = S.Priority.arc_count d.priority;
+      unoriented_pairs = List.length (S.Priority.unoriented d.substrate d.priority);
+      repair_count;
+      preferred_count;
+      certain = free + certain;
+      disputed = possible - certain;
+      excluded = conflicting - possible;
+      fate_counters;
+      lifetime = counters d;
+    }
+
+  (* A closed query's verdict with the counters it spent, and the
+     family's repair count per covered component: read from the cache
+     where the query warmed it, counted by streaming elsewhere. *)
+  let qtrace family d q =
+    let (verdict, _, _), query_counters = spent d (fun () -> decide family d q) in
+    let maintenance = counters d in
+    {
+      verdict;
+      query_counters;
+      maintenance;
+      slot_repairs =
+        List.map (fun ci -> count_within family d d.components.(ci)) (live_slots d);
+      free_tuples = Vset.cardinal d.free;
+      largest = max_component d;
     }
 
   (* --- aggregates --------------------------------------------------------- *)

@@ -22,33 +22,3 @@ val clean : ?choose:(Vset.t -> int) -> Conflict.t -> Priority.t -> t
 
 val pp : Conflict.t -> Format.formatter -> t -> unit
 (** Renders each step with actual tuples. *)
-
-(** {2 Sharded-CQA traces}
-
-    What the component decomposition did while answering one certainty
-    query: the verdict plus the observability counters accumulated
-    during that query (diffed, so a warm cache shows up as hits), and
-    the shape of the search space — per-component preferred repair
-    counts whose product is the global family size the whole-graph path
-    would have walked. *)
-
-type cqa = {
-  family : Family.name;
-  verdict : Cqa.certainty;
-  components : int;
-  max_component : int;
-  per_component_repairs : int list;
-      (** |X-Rep| of each component, in [Decompose.components] order *)
-  counters : Decompose.counters;  (** counters spent on this query alone *)
-  maintenance : Decompose.counters;
-      (** lifetime snapshot — its delta fields ([deltas_applied],
-          [components_dirtied], [cache_evicted], ...) describe every
-          incremental update folded into the decomposition so far *)
-}
-
-val certainty : Family.name -> Decompose.t -> Query.Ast.t -> cqa
-(** Runs [Decompose.certainty] and packages the evidence. Same
-    exceptions as the underlying query ([Cqa.Empty_family],
-    [Invalid_argument] on open queries). *)
-
-val pp_cqa : Format.formatter -> cqa -> unit

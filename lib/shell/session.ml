@@ -107,8 +107,8 @@ let help_text =
   \  help                 this text\n\
   \  quit                 leave\n\
    On an instance declaring denials, every repair question answers on\n\
-   the conflict hypergraph; stats, clean, trace and qtrace need an\n\
-   FD-only instance."
+   the conflict hypergraph; only clean and trace need an FD-only\n\
+   instance."
 
 (* The denial constraints in force: the spec's own [denial] declarations
    followed by its FDs compiled to denial form. *)
@@ -164,6 +164,8 @@ type answers = {
   certainty : Query.Ast.t -> Core.Cqa.certainty;
   explain : Query.Ast.t -> Core.Sharded.verdict;
   status : Tuple.t -> Core.Sharded.tuple_status;
+  summary : unit -> Core.Sharded.summary;
+  qtrace : Query.Ast.t -> Core.Sharded.qtrace;
   open_answers : Query.Ast.t -> string list * Value.t list list;
   aggregate : Core.Aggregate.agg -> (Core.Aggregate.range, string) result;
   check : Relation.t -> bool;
@@ -184,6 +186,8 @@ let binary_answers fam eng =
     certainty = D.certainty fam d;
     explain = D.explain fam d;
     status = D.tuple_status fam d;
+    summary = (fun () -> D.summary fam d);
+    qtrace = D.qtrace fam d;
     open_answers = D.consistent_answers_open fam d;
     aggregate = D.aggregate_range fam d;
     check = Family.check_relation fam c (Core.Delta.priority eng);
@@ -203,6 +207,8 @@ let hyper_answers fam { h; hp; hd } =
     certainty = D.certainty fam hd;
     explain = D.explain fam hd;
     status = D.tuple_status fam hd;
+    summary = (fun () -> D.summary fam hd);
+    qtrace = D.qtrace fam hd;
     open_answers = D.consistent_answers_open fam hd;
     aggregate = D.aggregate_range fam hd;
     check = Core.Hfamily.check_relation fam h hp;
@@ -234,9 +240,9 @@ let with_answers st k =
   with_instance st (fun i ->
       match answers_of st i with Error e -> "error: " ^ e | Ok a -> k a)
 
-(* The commands defined on the binary conflict graph only: on a spec
-   that declares denials they would answer as if the denials did not
-   exist. *)
+(* Algorithm 1 is defined on the binary conflict graph only: on a spec
+   that declares denials [clean] and [trace] would answer as if the
+   denials did not exist. *)
 let with_binary cmd st k =
   with_instance st (fun i ->
       match i.engine with
@@ -244,7 +250,7 @@ let with_binary cmd st k =
         Printf.sprintf
           "error: %s runs on the FD conflict graph, which ignores the instance's \
            denial constraints (under denials use: repairs, count, facts, query, \
-           profile, aggregate, explain, status)"
+           profile, aggregate, explain, status, stats, qtrace)"
           cmd
       | Error e -> "error: " ^ e
       | Ok eng -> k eng)
@@ -351,16 +357,6 @@ let cmd_facts st =
           show "disputed" (Graphs.Vset.diff possible certain);
           show "excluded" (Graphs.Vset.diff (a.live ()) possible)))
 
-let cmd_stats st =
-  with_binary "stats" st (fun eng ->
-      buffer_out (fun ppf ->
-          Format.fprintf ppf "%a@." Core.Stats.pp
-            (Core.Stats.compute_with (family st) (Core.Delta.decompose eng));
-          (* column statistics feed the query planner's cost model; the
-             engine's copy is patched in place by every update batch, so
-             its scan/patch counters double as the invalidation log *)
-          Format.fprintf ppf "%a" Planner.Stats.pp (Core.Delta.column_stats eng)))
-
 let cmd_clean st =
   with_binary "clean" st (fun eng ->
       let report =
@@ -399,15 +395,6 @@ let answer a q =
   end
 
 let cmd_query st text = with_answers st (fun a -> parsed text (answer a))
-
-let cmd_qtrace st text =
-  with_binary "qtrace" st (fun eng ->
-      parsed text (fun q ->
-          if not (Query.Ast.is_closed q) then "error: qtrace requires a closed query"
-          else
-            buffer_out (fun ppf ->
-                Format.fprintf ppf "%a" Core.Trace.pp_cqa
-                  (Core.Trace.certainty (family st) (Core.Delta.decompose eng) q))))
 
 let pp_seconds ppf s =
   if s < 1e-3 then Format.fprintf ppf "%.2f us" (s *. 1e6)
@@ -502,6 +489,97 @@ let pp_verdict a ppf (v : Core.Sharded.verdict) =
   witness "holds in:" v.supporting;
   witness "fails in:" v.refuting;
   Format.fprintf ppf "@]"
+
+(* Repair counts saturate at [max_int] rather than wrap: say so instead
+   of printing a huge number that looks exact. *)
+let pp_count ppf n =
+  if n = max_int then Format.pp_print_string ppf ">= max_int (saturated)"
+  else Format.pp_print_int ppf n
+
+let pp_summary ppf (s : Core.Sharded.summary) =
+  (* the priority orients conflicting pairs: on binary conflicts those are
+     the edges *)
+  let pairs = s.oriented_arcs + s.unoriented_pairs in
+  Format.fprintf ppf
+    "@[<v>tuples:                 %d@,\
+     conflict edges:         %d (%d tuples involved)@,\
+     components:             %d (%d non-trivial, largest %d)@,\
+     priority:               %d/%d %s oriented%s@,\
+     repairs:                %a@,\
+     preferred repairs:      %a@,\
+     tuple fates:            %d certain, %d disputed, %d excluded@,\
+     component cache:        %d hit(s), %d miss(es), %d repair(s) cached"
+    s.tuples s.conflict_edges s.conflicting_tuples s.components
+    s.nontrivial_components s.largest_component s.oriented_arcs pairs
+    (if pairs = s.conflict_edges then "edges" else "conflicting pairs")
+    (if s.unoriented_pairs = 0 then " (total)" else "")
+    pp_count s.repair_count pp_count s.preferred_count s.certain s.disputed
+    s.excluded s.fate_counters.cache_hits s.fate_counters.cache_misses
+    s.fate_counters.component_repairs;
+  let m = s.lifetime in
+  if m.deltas_applied > 0 then
+    Format.fprintf ppf
+      "@,\
+       incremental updates:    %d delta(s); %d component(s) dirtied; \
+       cache %d evicted, %d retained"
+      m.deltas_applied m.components_dirtied m.cache_evicted m.cache_retained;
+  Format.fprintf ppf "@]"
+
+(* The family's size as the product of the per-component counts; past
+   [max_int], its magnitude in floating point. *)
+let pp_product ppf counts =
+  let product = List.fold_left Core.Sharded.sat_mul 1 counts in
+  if product = max_int then
+    Format.fprintf ppf ">= max_int (~%.3e)"
+      (List.fold_left (fun acc n -> acc *. float_of_int n) 1. counts)
+  else Format.pp_print_int ppf product
+
+let pp_qtrace a ppf (t : Core.Sharded.qtrace) =
+  Format.fprintf ppf
+    "@[<v>verdict:                %s (%s)@,\
+     components:             %d (largest %d)@,\
+     preferred repairs:      %a total, per component [%a]%s@,%a"
+    (Core.Cqa.certainty_to_string t.verdict)
+    a.label
+    (List.length t.slot_repairs + t.free_tuples)
+    t.largest pp_product t.slot_repairs
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+       Format.pp_print_int)
+    t.slot_repairs
+    (if t.free_tuples = 0 then ""
+     else Printf.sprintf " (+ %d conflict-free tuple(s), 1 each)" t.free_tuples)
+    Core.Sharded.pp_counters t.query_counters;
+  (* lifetime maintenance telemetry, shown only once deltas flowed *)
+  let m = t.maintenance in
+  if m.deltas_applied > 0 then
+    Format.fprintf ppf
+      "@,\
+       maintenance (lifetime): %d delta(s), +%d/-%d edge(s), %d \
+       component(s) dirtied, cache %d evicted / %d retained"
+      m.deltas_applied m.edges_added m.edges_removed m.components_dirtied
+      m.cache_evicted m.cache_retained;
+  Format.fprintf ppf "@]"
+
+let cmd_stats st =
+  with_instance st (fun i ->
+      with_answers st (fun a ->
+          buffer_out (fun ppf ->
+              Format.fprintf ppf "%a" pp_summary (a.summary ());
+              (* column statistics feed the query planner's cost model;
+                 the engine's copy is patched in place by every update
+                 batch, so its scan/patch counters double as the
+                 invalidation log *)
+              match i.engine with
+              | Ok eng ->
+                Format.fprintf ppf "@.%a" Planner.Stats.pp (Core.Delta.column_stats eng)
+              | Error _ -> ())))
+
+let cmd_qtrace st text =
+  with_answers st (fun a ->
+      parsed text (fun q ->
+          if not (Query.Ast.is_closed q) then "error: qtrace requires a closed query"
+          else buffer_out (fun ppf -> pp_qtrace a ppf (a.qtrace q))))
 
 let cmd_explain st text =
   with_answers st (fun a ->

@@ -59,10 +59,9 @@
     help                 this text
     v}
 
-    The repair commands ([repairs], [count], [facts], [query],
-    [profile], [explain], [status], [aggregate]) answer on the substrate
-    the loaded spec
-    needs. A spec with only FDs answers on the binary conflict graph of
+    The repair commands ([repairs], [count], [stats], [facts], [query],
+    [qtrace], [profile], [explain], [status], [aggregate]) answer on the
+    substrate the loaded spec needs. A spec with only FDs answers on the binary conflict graph of
     the incremental engine, in every family; the default is C-Rep. A
     spec that declares denial constraints answers on its conflict
     hypergraph (the declared denials plus the FDs in denial form), built
@@ -70,8 +69,8 @@
     [g]/[global] select Rep, Pareto- and globally-optimal repairs, the
     default is Rep, and L-/C-Rep are an error. Labels come from the
     substrate: [S-Rep]/[G-Rep] on FD specs, [Pareto]/[Global] on denial
-    specs. [stats], [clean], [trace] and [qtrace] are defined on the
-    binary graph only and return an error on a denial spec. *)
+    specs. [clean] and [trace] run Algorithm 1, which is defined on the
+    binary graph only, and return an error on a denial spec. *)
 
 type state
 

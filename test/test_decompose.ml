@@ -334,18 +334,17 @@ let test_counters_and_trace () =
   let p = Priority.empty c in
   let d = Decompose.make c p in
   let q = Query.Ast.Or (ground_atom c 0, ground_atom c 1) in
-  let tr = Core.Trace.certainty Family.Rep d q in
+  let tr : Core.Sharded.qtrace = Decompose.qtrace Family.Rep d q in
   check certainty "trace verdict = whole graph" (Cqa.certainty Family.Rep c p q)
-    tr.Core.Trace.verdict;
-  check Alcotest.int "components" 5 tr.Core.Trace.components;
-  check Alcotest.int "max component" 3 tr.Core.Trace.max_component;
+    tr.verdict;
+  check Alcotest.int "components" 5
+    (List.length tr.slot_repairs + tr.free_tuples);
+  check Alcotest.int "max component" 3 tr.largest;
   (* the ground query touches only component 0, so at most that one
      component's repairs get materialized during the query itself *)
   Alcotest.(check bool) "untouched components not materialized" true
-    (tr.Core.Trace.counters.Decompose.cache_misses <= 1);
-  let product =
-    List.fold_left (fun a n -> a * n) 1 tr.Core.Trace.per_component_repairs
-  in
+    (tr.query_counters.cache_misses <= 1);
+  let product = List.fold_left (fun a n -> a * n) 1 tr.slot_repairs in
   check Alcotest.int "per-component product = count"
     (Decompose.count Family.Rep d)
     product;

@@ -70,9 +70,9 @@ let test_empty_instance () =
   Alcotest.(check bool) "universal vacuously true" true
     (Core.Cqa.consistent_answer Family.Rep c p q2);
   (* statistics *)
-  let s = Core.Stats.compute Family.C c p in
-  check Alcotest.int "zero tuples" 0 s.Core.Stats.tuples;
-  check Alcotest.int "one (empty) repair" 1 s.Core.Stats.repair_count
+  let s = Core.Decompose.summary Family.C (Core.Decompose.make c p) in
+  check Alcotest.int "zero tuples" 0 s.Core.Sharded.tuples;
+  check Alcotest.int "one (empty) repair" 1 s.Core.Sharded.repair_count
 
 let test_single_tuple () =
   let schema = Relational.Schema.make "R" [ ("A", Relational.Schema.TInt) ] in

@@ -284,9 +284,9 @@ let perturbed rel rng offset =
        (Tuple.values t))
 
 (* The binary and hyper instances of the sharded engine do the same work
-   on FD conflicts: equal counts, verdicts and counters, field by field,
-   after count + certainty and again after one random batch and its undo
-   pushed through [Delta] and [Hdelta]. *)
+   on FD conflicts: equal counts, verdicts, counters and summaries, field
+   by field, after count + certainty and again after one random batch and
+   its undo pushed through [Delta] and [Hdelta]. *)
 let same_engine_work rng rel fds q =
   let bin = Result.get_ok (Core.Delta.create fds rel) in
   let hyp =
@@ -298,6 +298,7 @@ let same_engine_work rng rel fds q =
     && Core.Decompose.certainty Core.Family.Rep d q
        = Hdecompose.certainty Hfamily.Rep hd q
     && Core.Decompose.counters d = Hdecompose.counters hd
+    && Core.Decompose.summary Core.Family.Rep d = Hdecompose.summary Hfamily.Rep hd
   in
   let both_accept a b =
     match (a, b) with Ok _, Ok _ | Error _, Error _ -> true | _ -> false

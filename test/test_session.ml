@@ -324,10 +324,11 @@ let emp_denials =
    tuple 'John' 'PR' 30\n\
    tuple 'Ann' 'HQ' 500\n"
 
-(* stats, clean, trace and qtrace are defined on the binary conflict
-   graph of the FDs: on a spec that declares denials they refuse rather
-   than answer as if the denials did not exist (Ann violates [cap], so
-   she is in no repair), and name the commands that do answer there. *)
+(* clean and trace run Algorithm 1, which is defined on the binary
+   conflict graph of the FDs: on a spec that declares denials they refuse
+   rather than answer as if the denials did not exist (Ann violates
+   [cap], so she is in no repair), and name the commands that do answer
+   there. *)
 let test_denial_spec_refuses_fd_answers () =
   let st = load_text emp_denials in
   List.iter
@@ -337,9 +338,20 @@ let test_denial_spec_refuses_fd_answers () =
         (Session.is_error_output out);
       Alcotest.(check bool) (cmd ^ " names the answering commands") true
         (contains
-           ~needle:"repairs, count, facts, query, profile, aggregate, explain, status"
+           ~needle:
+             "repairs, count, facts, query, profile, aggregate, explain, status, \
+              stats, qtrace"
            out))
-    [ "qtrace Emp('Ann', 'HQ', 500)"; "stats"; "clean"; "trace" ];
+    [ "clean"; "trace" ];
+  (* stats and qtrace answer on the hypergraph: the 1-ary cap edge is a
+     component of its own whose one repair excludes Ann *)
+  let _, out = Session.exec st "stats" in
+  Alcotest.(check bool) "stats answers with the hyperedge components" true
+    (contains ~needle:"components:             3 (1 non-trivial, largest 2)" out
+    && contains ~needle:"1 certain, 2 disputed, 1 excluded" out);
+  let _, out = Session.exec st "qtrace Emp('Ann', 'HQ', 500)" in
+  Alcotest.(check bool) "qtrace answers" true
+    (contains ~needle:"verdict:                certainly false (Rep)" out);
   let _, out = Session.exec st "hyper query Emp('Ann', 'HQ', 500)" in
   check Alcotest.string "hyper query" "Rep: certainly false" out;
   (* explain and status answer on the hypergraph: the 1-ary cap edge
@@ -507,6 +519,36 @@ let test_status_builds_nothing () =
   in
   check Alcotest.int "no decompose.make" 0 (List.length makes)
 
+(* stats and qtrace read the engine's slot array and free set: a store
+   of 50k facts with 10 conflicting groups costs them the 10 groups, not
+   one dense singleton component per clean fact. Measured in allocated
+   bytes, not wall time. *)
+let test_reports_allocate_per_component () =
+  let rel, fds =
+    Workload.Generator.clustered_conflicts ~facts:50_000 ~groups:10 ~width:4
+  in
+  let spec =
+    {
+      Dbio.Instance_format.relation = rel;
+      fds;
+      denials = [];
+      provenance = Relational.Provenance.empty;
+      prefs = [];
+    }
+  in
+  let st = Session.of_spec spec in
+  let allocated cmd =
+    let before = Gc.allocated_bytes () in
+    let _, out = Session.exec st cmd in
+    Alcotest.(check bool) (cmd ^ " answers") false (Session.is_error_output out);
+    Gc.allocated_bytes () -. before
+  in
+  List.iter
+    (fun cmd ->
+      let mb = allocated cmd /. 1048576. in
+      if mb >= 32. then Alcotest.failf "%s allocated %.0f MB (bound 32 MB)" cmd mb)
+    [ "stats"; "qtrace R(0, 0, 0)" ]
+
 let suite =
   [
     ("initial state", `Quick, test_initial_state);
@@ -530,4 +572,6 @@ let suite =
     ("declared denials keep the FDs", `Quick, test_denials_keep_the_fds);
     ("explain on 2^62 repairs does bounded work", `Quick, test_explain_bounded_work);
     ("status rebuilds no decomposition", `Quick, test_status_builds_nothing);
+    ("stats and qtrace allocate per component", `Quick,
+     test_reports_allocate_per_component);
   ]

@@ -1,7 +1,7 @@
-(* Tests for instance statistics and Algorithm 1 traces. *)
+(* Tests for the engine's instance summary and Algorithm 1 traces. *)
 
 open Graphs
-module Stats = Core.Stats
+module Decompose = Core.Decompose
 module Trace = Core.Trace
 module Family = Core.Family
 module Conflict = Core.Conflict
@@ -19,21 +19,24 @@ let mgr_with_priority () =
   in
   (c, Core.Pref_rules.apply_exn c rule)
 
+let summary family c p : Core.Sharded.summary =
+  Decompose.summary family (Decompose.make c p)
+
 let test_stats_mgr () =
   let c, p = mgr_with_priority () in
-  let s = Stats.compute Family.C c p in
-  check Alcotest.int "tuples" 4 s.Stats.tuples;
-  check Alcotest.int "edges" 3 s.Stats.conflict_edges;
-  check Alcotest.int "conflicting tuples" 4 s.Stats.conflicting_tuples;
-  check Alcotest.int "one component" 1 s.Stats.components;
-  check Alcotest.int "largest" 4 s.Stats.largest_component;
-  check Alcotest.int "oriented" 2 s.Stats.oriented_edges;
-  Alcotest.(check bool) "partial" false s.Stats.total_priority;
-  check Alcotest.int "3 repairs" 3 s.Stats.repair_count;
-  check Alcotest.int "2 preferred" 2 s.Stats.preferred_count;
-  check Alcotest.int "no certain" 0 s.Stats.certain;
-  check Alcotest.int "all disputed" 4 s.Stats.disputed;
-  check Alcotest.int "none excluded" 0 s.Stats.excluded
+  let s = summary Family.C c p in
+  check Alcotest.int "tuples" 4 s.tuples;
+  check Alcotest.int "edges" 3 s.conflict_edges;
+  check Alcotest.int "conflicting tuples" 4 s.conflicting_tuples;
+  check Alcotest.int "one component" 1 s.components;
+  check Alcotest.int "largest" 4 s.largest_component;
+  check Alcotest.int "oriented" 2 s.oriented_arcs;
+  Alcotest.(check bool) "partial" false (s.unoriented_pairs = 0);
+  check Alcotest.int "3 repairs" 3 s.repair_count;
+  check Alcotest.int "2 preferred" 2 s.preferred_count;
+  check Alcotest.int "no certain" 0 s.certain;
+  check Alcotest.int "all disputed" 4 s.disputed;
+  check Alcotest.int "none excluded" 0 s.excluded
 
 let test_stats_consistent () =
   let rel, fds =
@@ -44,11 +47,11 @@ let test_stats_consistent () =
       [ Constraints.Fd.make [ "A" ] [ "B" ] ] )
   in
   let c = Conflict.build fds rel in
-  let s = Stats.compute Family.Rep c (Priority.empty c) in
-  check Alcotest.int "no conflicts" 0 s.Stats.conflict_edges;
-  check Alcotest.int "one repair" 1 s.Stats.repair_count;
-  check Alcotest.int "everything certain" 1 s.Stats.certain;
-  Alcotest.(check bool) "empty priority is total here" true s.Stats.total_priority
+  let s = summary Family.Rep c (Priority.empty c) in
+  check Alcotest.int "no conflicts" 0 s.conflict_edges;
+  check Alcotest.int "one repair" 1 s.repair_count;
+  check Alcotest.int "everything certain" 1 s.certain;
+  Alcotest.(check bool) "empty priority is total here" true (s.unoriented_pairs = 0)
 
 let test_stats_counts_consistent_with_decompose () =
   let rng = Workload.Prng.create 601 in
@@ -59,26 +62,28 @@ let test_stats_counts_consistent_with_decompose () =
     in
     let c = Conflict.build fds rel in
     let p = Workload.Generator.random_priority rng ~density:0.5 c in
-    let s = Stats.compute Family.G c p in
+    let s = summary Family.G c p in
     check Alcotest.int "preferred = enumeration"
       (List.length (Family.repairs Family.G c p))
-      s.Stats.preferred_count;
-    check Alcotest.int "certain+disputed+excluded = tuples" s.Stats.tuples
-      (s.Stats.certain + s.Stats.disputed + s.Stats.excluded)
+      s.preferred_count;
+    check Alcotest.int "certain+disputed+excluded = tuples" s.tuples
+      (s.certain + s.disputed + s.excluded)
   done
 
 let test_stats_compute_with_reuses_cache () =
   let c, p = mgr_with_priority () in
-  let d = Core.Decompose.make c p in
-  let cold = Stats.compute_with Family.C d in
-  check Alcotest.int "cold run misses once per component" 1 cold.Stats.cache_misses;
+  let d = Decompose.make c p in
+  let cold : Core.Sharded.summary = Decompose.summary Family.C d in
+  check Alcotest.int "cold run misses once per component" 1
+    cold.fate_counters.cache_misses;
   check Alcotest.int "cold run caches the preferred repairs" 2
-    cold.Stats.cached_repairs;
-  let warm = Stats.compute_with Family.C d in
-  check Alcotest.int "warm run never misses" 0 warm.Stats.cache_misses;
-  Alcotest.(check bool) "warm run hits the cache" true (warm.Stats.cache_hits > 0);
-  check Alcotest.int "verdicts unchanged" cold.Stats.preferred_count
-    warm.Stats.preferred_count
+    cold.fate_counters.component_repairs;
+  let warm : Core.Sharded.summary = Decompose.summary Family.C d in
+  check Alcotest.int "warm run never misses" 0 warm.fate_counters.cache_misses;
+  Alcotest.(check bool) "warm run hits the cache" true
+    (warm.fate_counters.cache_hits > 0);
+  check Alcotest.int "verdicts unchanged" cold.preferred_count
+    warm.preferred_count
 
 let test_trace_result_matches_clean () =
   let rng = Workload.Prng.create 603 in
@@ -116,8 +121,23 @@ let test_trace_structure () =
 
 let test_pp_smoke () =
   let c, p = mgr_with_priority () in
+  let rel, fds, provenance = Testlib.mgr () in
+  let st =
+    Shell.Session.of_spec
+      {
+        Dbio.Instance_format.relation = rel;
+        fds;
+        denials = [];
+        provenance;
+        prefs =
+          [
+            Dbio.Instance_format.Source_pair ("s1", "s3");
+            Dbio.Instance_format.Source_pair ("s2", "s3");
+          ];
+      }
+  in
   Alcotest.(check bool) "stats render" true
-    (String.length (Format.asprintf "%a" Stats.pp (Stats.compute Family.C c p)) > 20);
+    (String.length (snd (Shell.Session.exec st "stats")) > 20);
   Alcotest.(check bool) "trace renders" true
     (String.length (Format.asprintf "%a" (Trace.pp c) (Trace.clean c p)) > 20)
 
