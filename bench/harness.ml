@@ -13,6 +13,22 @@ let now () = Unix.gettimeofday ()
    full harness pass fits inside `dune runtest`. *)
 let quick = ref false
 
+(* The samples behind every median a measurement returned, keyed by the
+   median's bits: [record] looks a row's median up here to write its
+   spread (min, relative MAD, sample count) next to it, so a row says how
+   far apart its own samples were without every section threading a
+   sample list to [record]. *)
+let spreads : (int64, float list) Hashtbl.t = Hashtbl.create 64
+
+(* The upper median of an even count. *)
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+
+(* The median of [xs], remembered with its samples for [record]. *)
+let median_of xs =
+  let m = median xs in
+  Hashtbl.replace spreads (Int64.bits_of_float m) xs;
+  m
+
 (* Median seconds per run; each sample runs [f] enough times to dominate
    timer noise. *)
 let measure ?samples f =
@@ -38,9 +54,7 @@ let measure ?samples f =
     in
     calibrate ()
   in
-  let xs = List.init samples (fun _ -> timed_batch ()) in
-  let sorted = List.sort compare xs in
-  List.nth sorted (samples / 2)
+  median_of (List.init samples (fun _ -> timed_batch ()))
 
 (* Cold-start median: one run per sample, each from a compacted heap.
    [measure] reports steady-state throughput — right for operations
@@ -63,9 +77,7 @@ let measure_cold ?samples f =
     ignore (f ());
     now () -. t0
   in
-  let xs = List.init samples (fun _ -> sample ()) in
-  let sorted = List.sort compare xs in
-  List.nth sorted (samples / 2)
+  median_of (List.init samples (fun _ -> sample ()))
 
 (* Least-squares slope of log t against log n: the empirical polynomial
    degree. *)
@@ -164,6 +176,7 @@ let phase_breakdown f =
 type row = {
   name : string;
   median : float;
+  samples : float list;
   baseline : (string * float) option;
   phases : (string * float * int) list;
   note : string;
@@ -183,12 +196,22 @@ let file ~experiment path =
   f
 
 (* [domains] defaults to the pool width active when the row is recorded;
-   the PAR section sweeps the width and passes it explicitly. *)
-let record file ~name ?baseline ?(phases = []) ?(fields = []) ?domains ~note
-    median =
+   the PAR section sweeps the width and passes it explicitly. [samples]
+   defaults to the ones {!median_of} remembered for [median]; a figure no
+   measurement returned stands alone, as one sample. *)
+let record file ~name ?baseline ?(phases = []) ?(fields = []) ?domains
+    ?samples ~note median =
   let domains = match domains with Some d -> d | None -> Core.Pool.jobs () in
+  let samples =
+    match samples with
+    | Some xs -> xs
+    | None ->
+      Option.value ~default:[ median ]
+        (Hashtbl.find_opt spreads (Int64.bits_of_float median))
+  in
   file.rows <-
-    { name; median; baseline; phases; note; fields; domains } :: file.rows
+    { name; median; samples; baseline; phases; note; fields; domains }
+    :: file.rows
 
 (* Seconds to the nanosecond and ratios to three places, so the
    committed files diff readably; a non-finite value is JSON null. *)
@@ -268,9 +291,19 @@ let row_json ~previous r =
     if r.phases = [] then []
     else [ ("phases", Obs.Json.List (List.map one r.phases)) ]
   in
+  (* the spread of the row's own samples: the fastest one, and the median
+     absolute deviation from the median relative to the median *)
+  let spread =
+    let mad = median (List.map (fun x -> Float.abs (x -. r.median)) r.samples) in
+    [
+      ("min_s", seconds (List.fold_left Float.min infinity r.samples));
+      ("mad_rel", ratio (if r.median > 0. then mad /. r.median else 0.));
+      ("samples", Obs.Json.Int (List.length r.samples));
+    ]
+  in
   Obs.Json.Obj
     ([ ("name", Obs.Json.Str r.name); ("median_s", seconds r.median) ]
-    @ baseline @ r.fields
+    @ spread @ baseline @ r.fields
     @ [ ("note", Obs.Json.Str r.note) ]
     @ previous @ phases
     @ env_fields ~domains:r.domains)

@@ -572,8 +572,7 @@ let delta_bench () =
       done;
       (Unix.gettimeofday () -. t0) /. float_of_int n
     in
-    let xs = List.sort compare (List.init samples (fun _ -> one ())) in
-    List.nth xs (samples / 2)
+    Harness.median_of (List.init samples (fun _ -> one ()))
   in
   let rows = ref [] in
   let bench ~name ~note incr full =
@@ -797,7 +796,7 @@ let obs_bench () =
   let best xs = List.fold_left Float.min infinity xs in
   let off = best !offs and on = best !ons in
   let name = Printf.sprintf "session-exec-mix/names-%d" (3 * sz 32 8) in
-  Harness.record obs_out ~name
+  Harness.record obs_out ~name ~samples:!ons
     ~fields:
       [
         ("metrics_off_median_s", Harness.seconds off);

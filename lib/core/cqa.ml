@@ -1,3 +1,12 @@
+(* Whole-graph consistent query answering: the definitions run literally
+   over the enumerated preferred-repair family. Each repair is copied into
+   a fresh relation ([Repair.to_relation]) on purpose. This module and
+   [Multi] are the independent oracle the sharded engine is checked
+   against, and the sharded engine evaluates a repair as a masked view of
+   the live relation ([Relation.restrict_view]); materializing here keeps
+   the whole-graph equivalence suites from comparing masked evaluation
+   with itself. *)
+
 open Relational
 open Graphs
 

@@ -15,7 +15,6 @@ module Substrate = struct
   (* tuples keep their relative order under restriction, so new vertex i
      is the i-th smallest original id *)
   let sub_instance c comp = build (fds c) (relation_of_vset c comp)
-  let to_relation = relation_of_vset
   let inserted (delta : delta) = delta.inserted
   let deleted (delta : delta) = delta.deleted
   let edges_added (delta : delta) = List.length delta.edges_added

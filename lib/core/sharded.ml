@@ -211,7 +211,10 @@ module type SUBSTRATE = sig
   (** The structure rebuilt over one component's tuples; vertex [i] of
       the result is the component's [i]-th smallest id. *)
 
-  val to_relation : t -> Vset.t -> Relation.t
+  val relation : t -> Relation.t
+  (** the live relation; vertex ids are its fact ids, so a repair is a
+      view of it ({!Relation.restrict_view}) *)
+
   val schema : t -> Schema.t
   val index : t -> Tuple.t -> int option
   val index_exn : t -> Tuple.t -> int
@@ -914,15 +917,26 @@ module Make (S : SUBSTRATE) = struct
             Format.fprintf ppf "--- repair %d ---@." !listed;
             Relation.iter
               (fun t -> Format.fprintf ppf "  %a@." Tuple.pp t)
-              (S.to_relation d.substrate r);
+              (Relation.restrict_view (S.relation d.substrate) r);
             if !listed >= limit then raise Stop)
       with Stop -> ()
     end;
     if total > limit then
       Format.fprintf ppf "... (%d more%s)@." (total - limit) hint
 
-  let evaluate_in_repair d r q =
-    Planner.Engine.holds_relation (S.to_relation d.substrate r) q
+  (* A query is evaluated in a repair r ⊆ live as a view of the live
+     relation masked by r: no tuple is copied and no index rebuilt per
+     repair. The columns the query can probe are forced here, once, on
+     the submitting domain — the views handed to pool jobs then only
+     read the base's postings, never build them. *)
+  let in_repair d q =
+    let base = S.relation d.substrate in
+    Planner.Engine.prepare base q;
+    Relation.restrict_view base
+
+  let evaluator d q =
+    let view = in_repair d q in
+    fun r -> Planner.Engine.holds_relation (view r) q
 
   (* The verdict of a streaming pass with its (supporting, refuting)
      witnesses: the baseline repair on the side it evaluated to, the
@@ -958,8 +972,8 @@ module Make (S : SUBSTRATE) = struct
      scheduling-independent because every lane looks for the same
      predicate, only how much counting happens before the exit varies. *)
   let certainty_streaming family d q =
-    let eval r = evaluate_in_repair d r q in
     let lists = repair_matrix family d in
+    let eval = evaluator d q in
     let k = Array.length lists in
     if Obs.Span.enabled () then
       Obs.Span.annotate [ ("route", Obs.Event.Str "deviation-scan") ];
@@ -1072,21 +1086,20 @@ module Make (S : SUBSTRATE) = struct
     if Query.Ast.is_ground q then
       match some_preferred_satisfying family d (Query.Ast.Not q) with
       | Ok refuting -> Option.is_none refuting
-      | Error _ -> for_all family d (fun r -> evaluate_in_repair d r q)
+      | Error _ -> for_all family d (evaluator d q)
     else begin
       if not (Query.Ast.is_closed q) then
         invalid_arg "Decompose.consistent_answer: open query";
-      for_all family d (fun r -> evaluate_in_repair d r q)
+      for_all family d (evaluator d q)
     end
 
   let consistent_answers_open family d q =
     Obs.Span.with_span "cqa.open" ~args:[ family_arg family; substrate_arg ] @@ fun () ->
     let result = ref None in
+    let view = in_repair d q in
     (try
        iter family d (fun r ->
-           let free, rows =
-             Planner.Engine.answers_relation (S.to_relation d.substrate r) q
-           in
+           let free, rows = Planner.Engine.answers_relation (view r) q in
            match !result with
            | None -> result := Some (free, rows)
            | Some (free0, rows0) ->

@@ -45,5 +45,19 @@ val answers_relation :
   Ast.t ->
   string list * Value.t list list
 
+val prepare : Relation.t -> Ast.t -> unit
+(** Force, on the relation's base, the postings a plan for the query can
+    read and the membership index ({!Relation.prepare_column},
+    {!Relation.prepare_lookup}), so that every view of the relation
+    evaluates the query without building an index. The columns forced
+    are the positions of the query's atoms over the relation that hold a
+    constant, a variable shared with another atom (a merge-join column)
+    or a variable compared with a constant other than by [<>] (a probe
+    or a range scan); a column the query only binds, or compares only
+    with other variables, is left alone — over a unique-valued column
+    the postings cost (largest id)²/126 words. Both memos mutate in
+    place: call this on the submitting domain, before views go to
+    parallel jobs. *)
+
 val planned : ?stats:(string -> Stats.t option) -> Database.t -> Ast.t -> bool
 (** Whether the query compiles to a physical plan (diagnostics). *)

@@ -34,7 +34,7 @@ let run ?stats db q =
       match plan with
       | Phys.Bool b -> Holds (Phys.run_bool b)
       | Phys.Rows { free; root } ->
-        let rows = List.map Tuple.values (Relation.tuples (Phys.exec root)) in
+        let rows = List.map Tuple.values (Phys.rows root) in
         Answers (free, rows)
     in
     Obs.Metric.observe Metrics.execute_seconds (Obs.Span.now () -. t1);

@@ -216,6 +216,22 @@ let rec exec n =
     n.actual <- Relation.cardinality r;
     r
 
+(* A projection at the root of an open query is never probed or joined
+   again, so its rows are projected, sorted and deduplicated straight
+   from the input: building a relation first would copy every row of the
+   input (the whole repair, for a projection that only reorders columns)
+   into a hash-indexed store that is read once. *)
+let rows n =
+  match (n.shape, n.cached) with
+  | Project (cols, inner), None ->
+    let rows =
+      List.sort_uniq Tuple.compare
+        (Relation.fold (fun t acc -> Tuple.sub t cols :: acc) (exec inner) [])
+    in
+    n.actual <- List.length rows;
+    rows
+  | _ -> Relation.tuples (exec n)
+
 (* Short-circuit boolean evaluation: cheap-looking blocks first would be
    nicer still, but the compiler already orders disjuncts/conjuncts by
    estimate, so evaluation order is plan order. *)

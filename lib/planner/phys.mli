@@ -68,6 +68,11 @@ val exec : node -> Relation.t
 (** Execute (or return the cached result), recording actual
     cardinalities down the tree. *)
 
+val rows : node -> Tuple.t list
+(** The output of a root node in {!Relation.tuples} order (sorted,
+    distinct), executing it as {!exec} does; a root projection records
+    its actual cardinality without materializing a relation. *)
+
 val run_bool : bnode -> bool
 (** Short-circuit evaluation; each visited block records its verdict and
     cardinalities for EXPLAIN. *)

@@ -74,14 +74,17 @@ let make ~exact r =
 
 let quick r =
   let s = make ~exact:false r in
+  (* a view reads its base's counts and bounds, with no mask test per
+     group: upper bounds on the view's own *)
+  let b = Relation.base r in
   Array.iteri
     (fun i c ->
       (* consult only postings that already exist: quick stats must never
          trigger an O(n) index build from inside the planning path *)
-      if Relation.postings_ready r i then begin
-        c.distinct <- Relation.group_count r i;
+      if Relation.postings_ready b i then begin
+        c.distinct <- Relation.group_count b i;
         if c.cty = `Int then
-          match Relation.group_bounds r i with
+          match Relation.group_bounds b i with
           | Some (lo, hi) ->
             c.lo <- lo;
             c.hi <- hi;

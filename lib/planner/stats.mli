@@ -16,7 +16,12 @@ type t
 val quick : Relation.t -> t
 (** Cheap statistics from whatever the relation's lazily built postings
     already know. Never builds an index. Columns without a ready posting
-    report unknown distinct counts and no bounds. *)
+    report unknown distinct counts and no bounds. On a view
+    ({!Relational.Relation.restrict_view}) the row count is the view's,
+    but distinct counts and bounds are read from the base's postings
+    (the columns the base has built), so they are upper bounds: a
+    distinct count at least the view's and an interval containing the
+    view's values. *)
 
 val scan : Relation.t -> t
 (** Exact statistics from one full pass, keeping per-column value-count

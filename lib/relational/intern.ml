@@ -10,17 +10,20 @@
    would be unsound.
 
    The dictionary is shared by every domain (packed equality must hold
-   across domains too), so all access goes through one mutex. Interning
-   is a construction-time cost — the hot comparison paths never touch
-   this module except through [string_of_id] on the rare
-   interned-vs-interned tie in [Value.compare_packed] — and the critical
-   sections are a handful of instructions, so one lock is cheaper than
-   any lock-free scheme would be to verify. *)
+   across domains too). Interning goes through one mutex. Reading a
+   string back does not: [string_of_id] runs on every name decode
+   ([Value.unpack]) and every name-vs-name comparison
+   ([Value.compare_packed], so every sort of name-keyed tuples), where a
+   lock per call cost more than the comparison. Readers rely on the
+   publication order of [id_of_string]: the string is stored in the
+   array, and a grown array is published, before [next] counts the id,
+   so a reader that sees [id < next] through the atomic read of [next]
+   also sees the array holding the string. *)
 
 let lock = Mutex.create ()
 let table : (string, int) Hashtbl.t = Hashtbl.create 1024
-let strings = ref (Array.make 1024 "")
-let next = ref 0
+let strings = Atomic.make (Array.make 1024 "")
+let next = Atomic.make 0
 
 let with_lock f =
   Mutex.lock lock;
@@ -37,23 +40,22 @@ let id_of_string s =
       match Hashtbl.find_opt table s with
       | Some id -> id
       | None ->
-        let id = !next in
-        let cap = Array.length !strings in
+        let id = Atomic.get next in
+        let cap = Array.length (Atomic.get strings) in
         if id = cap then begin
           let grown = Array.make (2 * cap) "" in
-          Array.blit !strings 0 grown 0 cap;
-          strings := grown
+          Array.blit (Atomic.get strings) 0 grown 0 cap;
+          Atomic.set strings grown
         end;
-        !strings.(id) <- s;
+        (Atomic.get strings).(id) <- s;
         Hashtbl.add table s id;
-        incr next;
+        Atomic.set next (id + 1);
         id)
 
 let string_of_id id =
-  with_lock (fun () ->
-      if id < 0 || id >= !next then
-        invalid_arg (Printf.sprintf "Intern.string_of_id: unknown id %d" id)
-      else !strings.(id))
+  if id < 0 || id >= Atomic.get next then
+    invalid_arg (Printf.sprintf "Intern.string_of_id: unknown id %d" id)
+  else (Atomic.get strings).(id)
 
 let mem s = with_lock (fun () -> Hashtbl.mem table s)
-let count () = with_lock (fun () -> !next)
+let count () = Atomic.get next

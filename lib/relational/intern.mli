@@ -11,9 +11,10 @@
     fresh process rebuilds the dictionary while parsing.
 
     All operations are thread-safe: the dictionary is one per process,
-    shared by every domain, and guarded by a mutex so concurrent
-    interning (e.g. tuple packing on pool workers) cannot corrupt the
-    table or hand out duplicate ids. *)
+    shared by every domain. Interning is guarded by a mutex, so
+    concurrent interning (e.g. tuple packing on pool workers) cannot
+    corrupt the table or hand out duplicate ids; {!string_of_id} and
+    {!count} take no lock. *)
 
 val id_of_string : string -> int
 (** The id of [s], interning it first if it has never been seen.

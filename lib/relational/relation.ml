@@ -20,7 +20,16 @@
    per-relation filters — the id must be within this relation's fact
    array, live in it, and hold a tuple equal to the probe. Entries
    appended by a sibling branch of the history (or after this snapshot
-   was taken) fail the bounds or equality check and are ignored. *)
+   was taken) fail the bounds or equality check and are ignored.
+
+   A {e view} ([restrict_view]) is a subset of a base relation's live
+   facts under the base's own ids: it shares the fact array, the hash
+   index and the postings memo of the base, and every postings reader
+   masks the base's groups by the view's live set. A view never builds a
+   base column itself — [prepare_column] does that, on the caller's
+   domain — so a view handed to a parallel job never mutates shared
+   state; a column the base has not built is built over the view alone,
+   in the view's own memo, as for any relation. *)
 
 module Imap = Map.Make (Int)
 module Vset = Graphs.Vset
@@ -43,6 +52,10 @@ type t = {
          first [find], not on construction — a loaded instance that is
          only ever scanned never hashes a tuple at all. *)
   mutable postings : postings option; (* lazy memo, maintained by [patch] *)
+  base : t option;
+      (* [Some b] = a view of [b]: [live] ⊆ [b.live], [facts] and
+         [lookup] are [b]'s, and a column [b] has built is read from [b]
+         and masked by [live]. [b] is never itself a view. *)
 }
 
 let empty schema =
@@ -52,6 +65,7 @@ let empty schema =
     live = Vset.empty;
     lookup = Lazy.from_val (Hashtbl.create 16);
     postings = None;
+    base = None;
   }
 
 let schema r = r.schema
@@ -156,50 +170,80 @@ let posting_remove p t i =
         m)
     p
 
-let prepare_column r col =
-  if col < 0 || col >= Schema.arity r.schema then
-    invalid_arg "Relation.prepare_column: column out of range";
-  ignore (column r col)
-
-let prepare_index r =
-  for col = 0 to Schema.arity r.schema - 1 do
-    ignore (column r col)
-  done
-
-let matching r col packed_value =
-  if col < 0 || col >= Schema.arity r.schema then
-    invalid_arg "Relation.matching: column out of range";
-  match Imap.find_opt packed_value (column r col) with
-  | Some s -> s
-  | None -> Vset.empty
-
-let iter_groups r col f =
-  if col < 0 || col >= Schema.arity r.schema then
-    invalid_arg "Relation.iter_groups: column out of range";
-  Imap.iter f (column r col)
-
-let postings_ready r col =
-  col >= 0
-  && col < Schema.arity r.schema
-  && match r.postings with None -> false | Some p -> p.(col) <> None
-
 let check_col fn r col =
   if col < 0 || col >= Schema.arity r.schema then
     invalid_arg ("Relation." ^ fn ^ ": column out of range")
 
+let base r = match r.base with Some b -> b | None -> r
+
+let own_ready r col =
+  match r.postings with None -> false | Some p -> p.(col) <> None
+
+let prepare_column r col =
+  check_col "prepare_column" r col;
+  ignore (column (base r) col)
+
+let prepare_index r =
+  for col = 0 to Schema.arity r.schema - 1 do
+    ignore (column (base r) col)
+  done
+
+let prepare_lookup r = ignore (Lazy.force r.lookup)
+
+let postings_ready r col =
+  col >= 0
+  && col < Schema.arity r.schema
+  && (own_ready (base r) col || own_ready r col)
+
+(* The memo a reader walks, and whether its groups need the view's mask:
+   a view reads the base's column once the base has built it, and its
+   own memo otherwise. *)
+let source r col =
+  match r.base with
+  | Some b when own_ready b col -> (column b col, true)
+  | _ -> (column r col, false)
+
+let matching r col packed_value =
+  check_col "matching" r col;
+  let m, masked = source r col in
+  match Imap.find_opt packed_value m with
+  | None -> Vset.empty
+  | Some s -> if masked then Vset.inter s r.live else s
+
+(* A view's groups are masked one at a time as the consumer pulls them,
+   so a merge join that stops early pays only for the groups it read. *)
 let groups r col =
   check_col "groups" r col;
-  Imap.to_seq (column r col)
+  let m, masked = source r col in
+  if masked then
+    Seq.filter_map
+      (fun (k, s) ->
+        if Vset.disjoint s r.live then None else Some (k, Vset.inter s r.live))
+      (Imap.to_seq m)
+  else Imap.to_seq m
+
+let iter_groups r col f =
+  check_col "iter_groups" r col;
+  match source r col with
+  | m, false -> Imap.iter f m
+  | _, true -> Seq.iter (fun (k, s) -> f k s) (groups r col)
 
 let group_count r col =
   check_col "group_count" r col;
-  Imap.cardinal (column r col)
+  let m, masked = source r col in
+  if masked then
+    Imap.fold (fun _ s n -> if Vset.disjoint s r.live then n else n + 1) m 0
+  else Imap.cardinal m
 
 let group_bounds r col =
   check_col "group_bounds" r col;
-  let m = column r col in
-  match (Imap.min_binding_opt m, Imap.max_binding_opt m) with
-  | Some (lo, _), Some (hi, _) -> Some (lo, hi)
+  let m, masked = source r col in
+  let first seq =
+    Option.map fst
+      (Seq.find (fun (_, s) -> not (masked && Vset.disjoint s r.live)) seq)
+  in
+  match (first (Imap.to_seq m), first (Imap.to_rev_seq m)) with
+  | Some lo, Some hi -> Some (lo, hi)
   | _, _ -> None
 
 (* Range probe: walk the ordered postings between the packed bounds.
@@ -208,10 +252,11 @@ let group_bounds r col =
    and [to_seq_from] starts at the first group >= the lower bound.
    Groups are disjoint id sets, so collecting their elements into one
    list and rebuilding a Vset is O(selected), never O(universe) per
-   group the way repeated set unions would be. *)
+   group the way repeated set unions would be; a view keeps the ids in
+   its live set as it collects them. *)
 let matching_range r col ~lo ~hi =
   check_col "matching_range" r col;
-  let m = column r col in
+  let m, masked = source r col in
   let seq =
     match lo with
     | None -> Imap.to_seq m
@@ -226,8 +271,10 @@ let matching_range r col ~lo ~hi =
     | Some (v, incl) -> if incl then k <= v else k < v
   in
   let ids = ref [] in
+  let keep i = ids := i :: !ids in
+  let keep = if masked then (fun i -> if Vset.mem i r.live then keep i) else keep in
   Seq.iter
-    (fun (_, s) -> Vset.iter (fun i -> ids := i :: !ids) s)
+    (fun (_, s) -> Vset.iter keep s)
     (Seq.take_while (fun (k, _) -> below k) seq);
   Vset.of_list !ids
 
@@ -243,6 +290,7 @@ let append_slot r t =
     facts;
     live = Vset.add n r.live;
     postings = Option.map (fun p -> posting_add p t n) r.postings;
+    base = None;
   }
 
 let add r t =
@@ -266,6 +314,11 @@ let restrict_ids r ids =
   if not (Vset.subset ids r.live) then
     invalid_arg "Relation.restrict_ids: not a subset of the live fact ids";
   { r with live = ids; postings = None }
+
+let restrict_view r ids =
+  if not (Vset.subset ids r.live) then
+    invalid_arg "Relation.restrict_view: not a subset of the live fact ids";
+  { r with live = ids; postings = None; base = Some (base r) }
 
 (* --- bulk construction ---------------------------------------------------- *)
 
@@ -320,6 +373,7 @@ module Builder = struct
       live = Vset.of_range b.len;
       lookup = Lazy.from_val (Hashtbl.copy b.seen);
       postings = None;
+      base = None;
     }
 end
 
@@ -401,7 +455,7 @@ let of_facts ?(checked = true) schema facts live =
        Array.iteri (fun i t -> lookup_add lookup t i) facts;
        lookup)
   in
-  { schema; facts; live; lookup; postings = None }
+  { schema; facts; live; lookup; postings = None; base = None }
 
 let of_slots ?checked schema entries =
   let n = Array.length entries in
@@ -504,7 +558,7 @@ let patch r ~delete ~insert =
       Some
         (List.fold_left2 (fun p i t -> posting_add p t i) p inserted insert)
   in
-  ({ r with facts; live; postings }, deleted, inserted)
+  ({ r with facts; live; postings; base = None }, deleted, inserted)
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%a = {@," Schema.pp r.schema;

@@ -112,7 +112,31 @@ val find_exn : t -> Tuple.t -> int
 (** Like {!find}; raises [Invalid_argument] with context otherwise. *)
 
 val restrict_ids : t -> Graphs.Vset.t -> t
-(** Live-set restriction by fact ids; must be a subset of {!live_ids}. *)
+(** Live-set restriction by fact ids; must be a subset of {!live_ids}.
+    On a view the result is a view of the same base. *)
+
+(** {2 Views}
+
+    A view is a subset of a base relation's live facts, under the base's
+    own fact ids, that shares the base's fact array, hash index and
+    postings memo instead of copying them: a repair r′ ⊆ r evaluated as
+    r masked by r′. Every postings reader ({!matching},
+    {!matching_range}, {!groups}, {!iter_groups}, {!postings_ready},
+    {!group_count}, {!group_bounds}) reads a column the base has built
+    and masks it by the view's live set; a column the base has not
+    built is built over the view alone, in the view's own memo, so a
+    view never mutates its base. {!restrict_ids}, {!filter} and
+    {!remove} on a view are views of the same base; {!add}, {!patch}
+    and every constructor return an ordinary relation. *)
+
+val restrict_view : t -> Graphs.Vset.t -> t
+(** [restrict_view r ids] is [r] restricted to [ids] (a subset of
+    {!live_ids}, [Invalid_argument] otherwise) as a view of [r]'s base:
+    O(ids/63) words, no tuple copied and no index rebuilt. *)
+
+val base : t -> t
+(** The relation whose postings a view masks; any other relation is its
+    own base. *)
 
 val slots : t -> (Tuple.t * bool) array
 (** Every slot ever allocated, in fact-id order, live-flagged: the full
@@ -139,7 +163,7 @@ val of_facts : ?checked:bool -> Schema.t -> Tuple.t array -> Graphs.Vset.t -> t
 
 val prepare_index : t -> unit
 (** Force the postings of {e every} column now (one ["relation.index"]
-    span per column built). Once built they are maintained incrementally
+    span per column built); on a view, the base's columns. Once built they are maintained incrementally
     by {!patch}. Prefer {!prepare_column} when only some columns are
     grouped on: a postings map over a high-cardinality column that is
     never probed (unique ids, payload attributes) costs more to build
@@ -148,9 +172,17 @@ val prepare_index : t -> unit
 val prepare_column : t -> int -> unit
 (** Force the postings of one column (span ["relation.index"] with a
     ["column"] argument). The delta path ({!Conflict.build}) forces
-    exactly the FD lhs columns it groups on. Forcing mutates the lazy
-    memo in place, so do it on the submitting domain before sharing the
-    relation with parallel workers. *)
+    exactly the FD lhs columns it groups on. On a view this forces the
+    {e base's} column, which every view of that base then reads. Forcing
+    mutates the lazy memo in place, so do it on the submitting domain
+    before sharing the relation with parallel workers. *)
+
+val prepare_lookup : t -> unit
+(** Force the membership index behind {!find} and {!mem} now. It is
+    built lazily and shared by every relation derived from the same root,
+    views included; forcing one lazy value from two domains at once is
+    an error, so force it on the submitting domain before views of the
+    relation go to parallel jobs. *)
 
 val matching : t -> int -> int -> Graphs.Vset.t
 (** [matching r col packed] is the set of live fact ids whose tuple has
@@ -164,9 +196,10 @@ val iter_groups : t -> int -> (int -> Graphs.Vset.t -> unit) -> unit
     FD lhs the groups are exactly the postings entries. *)
 
 val postings_ready : t -> int -> bool
-(** Whether the column's postings are already materialized. The planner's
-    quick statistics consult only ready columns — probing this never
-    forces a build. Out-of-range columns are simply [false]. *)
+(** Whether the column's postings are already materialized (on a view:
+    by the base or by the view itself). The planner's quick statistics
+    consult only ready columns — probing this never forces a build.
+    Out-of-range columns are simply [false]. *)
 
 val groups : t -> int -> (int * Graphs.Vset.t) Seq.t
 (** The postings of one column as a sequence of [(packed, ids)] groups in
@@ -178,7 +211,7 @@ val groups : t -> int -> (int * Graphs.Vset.t) Seq.t
 val group_count : t -> int -> int
 (** Number of distinct live values in the column (the exact per-column
     distinct count). Forces the column's postings; O(distinct) on a
-    built column. *)
+    built column, one mask test per base group on a view. *)
 
 val group_bounds : t -> int -> (int * int) option
 (** Smallest and largest packed value in the column, [None] when empty.

@@ -471,6 +471,64 @@ let test_count_saturates () =
     (float_of_int per_component ** 40. > float_of_int max_int);
   check Alcotest.int "saturated" max_int (Decompose.count Family.Rep d)
 
+(* Quantified queries run in each streamed repair as a view of the live
+   relation: the columns the query can probe are forced once, on the
+   base, so a second run builds no index at all (a materialized repair
+   rebuilt each probed column per combination). *)
+let index_spans f =
+  let buf = Obs.Sink.Memory.create () in
+  Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
+  let v = Fun.protect ~finally:(fun () -> Obs.Span.set_sink None) f in
+  let n =
+    List.length
+      (List.filter
+         (fun (e : Obs.Event.t) ->
+           e.phase = Obs.Event.Begin && e.name = "relation.index")
+         (Obs.Sink.Memory.events buf))
+  in
+  (v, n)
+
+let test_views_force_once () =
+  let rel, fds =
+    Workload.Generator.clustered_conflicts ~facts:200 ~groups:3 ~width:2
+  in
+  let c = Conflict.build fds rel in
+  let d = Decompose.make c (Priority.empty c) in
+  (* certainly true, so the full product of 2^3 repairs is walked *)
+  let q = Query.Parser.parse_exn "exists b, c. R(1, b, c) and c > 1" in
+  (* fill the component cache first: solving a component builds the
+     postings of its own compact relation *)
+  ignore (Decompose.count Family.Rep d);
+  let run () =
+    let before = (Decompose.counters d).combos_streamed in
+    let v = Decompose.certainty Family.Rep d q in
+    (v, (Decompose.counters d).combos_streamed - before)
+  in
+  let (v1, combos), first = index_spans run in
+  check certainty "first run" Cqa.Certainly_true v1;
+  check Alcotest.bool "the full product ran" true (combos >= 8);
+  (* A was built by the conflict graph; C is the range-scanned column *)
+  check Alcotest.int "one build, for C" 1 first;
+  let (v2, _), second = index_spans run in
+  check certainty "second run" Cqa.Certainly_true v2;
+  check Alcotest.int "second run builds no index" 0 second
+
+(* Forcing is per probed column: on 100k facts a query probing only A
+   leaves the unique-valued C unbuilt (its postings would cost
+   (largest id)^2/126 words). *)
+let test_unprobed_columns_stay_lazy () =
+  let rel, fds =
+    Workload.Generator.clustered_conflicts ~facts:100_000 ~groups:3 ~width:2
+  in
+  let c = Conflict.build fds rel in
+  let d = Decompose.make c (Priority.empty c) in
+  let q = Query.Parser.parse_exn "exists b, c. R(1, b, c)" in
+  check certainty "verdict" Cqa.Certainly_true (Decompose.certainty Family.Rep d q);
+  let base = Conflict.relation c in
+  check Alcotest.bool "A built" true (Relational.Relation.postings_ready base 0);
+  check Alcotest.bool "B not built" false (Relational.Relation.postings_ready base 1);
+  check Alcotest.bool "C not built" false (Relational.Relation.postings_ready base 2)
+
 let suite =
   [
     ("preferred-repair counts match enumeration", `Quick, test_count_matches_enumeration);
@@ -490,4 +548,6 @@ let suite =
     ("counter hygiene: snapshot, reset, independence", `Quick, test_counter_hygiene);
     ("count_within = length of preferred_within", `Quick, test_count_within);
     ("count saturates instead of wrapping", `Quick, test_count_saturates);
+    ("repair views force each probed column once", `Quick, test_views_force_once);
+    ("repair views leave unprobed columns unbuilt", `Quick, test_unprobed_columns_stay_lazy);
   ]

@@ -363,93 +363,152 @@ let planner_answers_match_evaluator =
       List.equal String.equal pfree efree
       && List.equal (List.equal Relational.Value.equal) prows erows)
 
+(* A random query over the WIDENED fragment of [rel]'s relation —
+   disjunction, negated atoms, bounded universals, int range comparisons
+   against constants and variables — closed or open (some variables of
+   an existential block stay free). *)
+let widened_query rng rel =
+  let arity = Relational.Schema.arity (Relational.Relation.schema rel) in
+  let rel_name = Relational.Schema.name (Relational.Relation.schema rel) in
+  let vars = [ "v0"; "v1"; "v2"; "v3" ] in
+  let term () =
+    if Workload.Prng.int rng 4 = 0 then
+      Query.Ast.Const (Relational.Value.Int (Workload.Prng.int rng 4))
+    else Query.Ast.Var (Workload.Prng.pick rng vars)
+  in
+  let atom () =
+    Query.Ast.Atom (rel_name, List.init arity (fun _ -> term ()))
+  in
+  let cmp_over used =
+    let x = Workload.Prng.pick rng used in
+    let op =
+      Workload.Prng.pick rng
+        [
+          Query.Ast.Lt; Query.Ast.Leq; Query.Ast.Geq; Query.Ast.Gt;
+          Query.Ast.Eq; Query.Ast.Neq;
+        ]
+    in
+    let rhs =
+      if Workload.Prng.bool rng then
+        Query.Ast.Const (Relational.Value.Int (Workload.Prng.int rng 5))
+      else Query.Ast.Var (Workload.Prng.pick rng used)
+    in
+    Query.Ast.Cmp (op, Query.Ast.Var x, rhs)
+  in
+  let block () =
+    let atoms = List.init (1 + Workload.Prng.int rng 2) (fun _ -> atom ()) in
+    let body = Query.Ast.conj atoms in
+    let used = Query.Ast.free_vars body in
+    let body =
+      if used <> [] && Workload.Prng.bool rng then
+        Query.Ast.And (body, cmp_over used)
+      else body
+    in
+    if Workload.Prng.int rng 3 = 0 then
+      Query.Ast.And (body, Query.Ast.Not (atom ()))
+    else body
+  in
+  if Workload.Prng.int rng 4 = 0 then begin
+    (* bounded universal: forall x̄. R(x̄) implies (cmp | atom) *)
+    let vs = List.init arity (Printf.sprintf "u%d") in
+    let head =
+      Query.Ast.Atom (rel_name, List.map (fun v -> Query.Ast.Var v) vs)
+    in
+    let concl =
+      if Workload.Prng.bool rng then cmp_over vs else atom ()
+    in
+    Query.Ast.Forall (vs, Query.Ast.Implies (head, concl))
+  end
+  else begin
+    let body =
+      if Workload.Prng.bool rng then
+        Query.Ast.Or (block (), block ())
+      else block ()
+    in
+    let used = Query.Ast.free_vars body in
+    let bound =
+      List.filter (fun _ -> Workload.Prng.bool rng) used
+    in
+    Query.Ast.exists bound body
+  end
+
+let same_answers (free1, rows1) (free2, rows2) =
+  List.equal String.equal free1 free2
+  && List.equal (List.equal Relational.Value.equal) rows1 rows2
+
 let cost_planner_widened_matches_evaluator =
-  (* random queries over the WIDENED fragment — disjunction, negated
-     atoms, bounded universals, int range comparisons against constants
-     and variables — the cost-based planner must agree with the
-     active-domain evaluator whenever it plans, and its evaluator
-     fallback keeps the unsafe shapes agreeing trivially. Runs under
-     whatever PREFDB_JOBS the suite was launched with (the CI matrix
-     covers 1/2/4). *)
+  (* the cost-based planner must agree with the active-domain evaluator
+     whenever it plans, and its evaluator fallback keeps the unsafe
+     shapes agreeing trivially. Runs under whatever PREFDB_JOBS the
+     suite was launched with (the CI matrix covers 1/2/4). *)
   prop ~count:80 "cost-based planner = evaluator on the widened fragment"
     (fun c ->
       let conflict, _ = build_case c in
       let rel = Conflict.relation conflict in
       let db = Relational.Database.of_relations [ rel ] in
       let rng = Workload.Prng.create (c.seed + 2468) in
-      let arity = Relational.Schema.arity (Relational.Relation.schema rel) in
-      let rel_name = Relational.Schema.name (Relational.Relation.schema rel) in
-      let vars = [ "v0"; "v1"; "v2"; "v3" ] in
-      let term () =
-        if Workload.Prng.int rng 4 = 0 then
-          Query.Ast.Const (Relational.Value.Int (Workload.Prng.int rng 4))
-        else Query.Ast.Var (Workload.Prng.pick rng vars)
-      in
-      let atom () =
-        Query.Ast.Atom (rel_name, List.init arity (fun _ -> term ()))
-      in
-      let cmp_over used =
-        let x = Workload.Prng.pick rng used in
-        let op =
-          Workload.Prng.pick rng
-            [
-              Query.Ast.Lt; Query.Ast.Leq; Query.Ast.Geq; Query.Ast.Gt;
-              Query.Ast.Eq; Query.Ast.Neq;
-            ]
-        in
-        let rhs =
-          if Workload.Prng.bool rng then
-            Query.Ast.Const (Relational.Value.Int (Workload.Prng.int rng 5))
-          else Query.Ast.Var (Workload.Prng.pick rng used)
-        in
-        Query.Ast.Cmp (op, Query.Ast.Var x, rhs)
-      in
-      let block () =
-        let atoms = List.init (1 + Workload.Prng.int rng 2) (fun _ -> atom ()) in
-        let body = Query.Ast.conj atoms in
-        let used = Query.Ast.free_vars body in
-        let body =
-          if used <> [] && Workload.Prng.bool rng then
-            Query.Ast.And (body, cmp_over used)
-          else body
-        in
-        if Workload.Prng.int rng 3 = 0 then
-          Query.Ast.And (body, Query.Ast.Not (atom ()))
-        else body
-      in
-      let q =
-        if Workload.Prng.int rng 4 = 0 then begin
-          (* bounded universal: forall x̄. R(x̄) implies (cmp | atom) *)
-          let vs = List.init arity (Printf.sprintf "u%d") in
-          let head =
-            Query.Ast.Atom (rel_name, List.map (fun v -> Query.Ast.Var v) vs)
-          in
-          let concl =
-            if Workload.Prng.bool rng then cmp_over vs else atom ()
-          in
-          Query.Ast.Forall (vs, Query.Ast.Implies (head, concl))
-        end
-        else begin
-          let body =
-            if Workload.Prng.bool rng then
-              Query.Ast.Or (block (), block ())
-            else block ()
-          in
-          let used = Query.Ast.free_vars body in
-          let bound =
-            List.filter (fun _ -> Workload.Prng.bool rng) used
-          in
-          Query.Ast.exists bound body
-        end
-      in
+      let q = widened_query rng rel in
       if Query.Ast.is_closed q then
         Query.Eval.holds db q = Planner.Engine.holds db q
-      else begin
-        let efree, erows = Query.Eval.answers db q in
-        let pfree, prows = Planner.Engine.answers db q in
-        List.equal String.equal efree pfree
-        && List.equal (List.equal Relational.Value.equal) erows prows
-      end)
+      else same_answers (Query.Eval.answers db q) (Planner.Engine.answers db q))
+
+let view_matches_materialized =
+  (* a repair evaluated as a masked view of the live relation answers
+     exactly as the same facts copied into a fresh relation — on a plain
+     view, on views of views (restrict_ids / filter / remove), and on
+     views of a base patched after its postings were forced. Which base
+     columns are built is random, so both the masked-base and the
+     view-local postings paths run. *)
+  prop ~count:80 "masked view = materialized repair (holds, answers)" (fun c ->
+      let module R = Relational.Relation in
+      let conflict, _ = build_case c in
+      let rel = Conflict.relation conflict in
+      let rng = Workload.Prng.create (c.seed + 8191) in
+      let arity = Relational.Schema.arity (R.schema rel) in
+      let force r =
+        for col = 0 to arity - 1 do
+          if Workload.Prng.bool rng then R.prepare_column r col
+        done
+      in
+      let sample s = Vset.filter (fun _ -> Workload.Prng.bool rng) s in
+      let copy v =
+        R.of_tuples (R.schema v)
+          (List.map (R.fact v) (Vset.elements (R.live_ids v)))
+      in
+      force rel;
+      (* tombstone a sample of the live facts and re-insert some of them
+         under fresh ids, keeping the forced postings up to date *)
+      let deleted = List.map (R.fact rel) (Vset.elements (sample (R.live_ids rel))) in
+      let patched, _, _ =
+        R.patch rel ~delete:deleted
+          ~insert:(List.filter (fun _ -> Workload.Prng.bool rng) deleted)
+      in
+      let views base =
+        let v = R.restrict_view base (sample (R.live_ids base)) in
+        let t = Vset.elements (R.live_ids v) in
+        [
+          v;
+          R.restrict_ids v (sample (R.live_ids v));
+          R.filter (fun _ -> Workload.Prng.bool rng) v;
+          (match t with [] -> v | i :: _ -> R.remove v (R.fact v i));
+          R.restrict_view v (sample (R.live_ids v));
+        ]
+      in
+      List.for_all
+        (fun v ->
+          force (R.base v);
+          let m = copy v in
+          List.for_all
+            (fun () ->
+              let q = widened_query rng rel in
+              if Query.Ast.is_closed q then
+                Planner.Engine.holds_relation v q = Planner.Engine.holds_relation m q
+              else
+                same_answers
+                  (Planner.Engine.answers_relation v q)
+                  (Planner.Engine.answers_relation m q))
+            (List.init 4 (fun _ -> ())))
+        (views rel @ views patched))
 
 let multi_factorized_matches_product =
   (* two random inconsistent relations; the factorized multi-relation
@@ -562,6 +621,7 @@ let suite =
     planner_matches_evaluator;
     planner_answers_match_evaluator;
     cost_planner_widened_matches_evaluator;
+    view_matches_materialized;
     multi_factorized_matches_product;
     repairs_are_maximal;
     containment_chain;

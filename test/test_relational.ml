@@ -67,6 +67,27 @@ let test_value_packed () =
        false
      with Invalid_argument _ -> true)
 
+(* [string_of_id] takes no lock: a reader on one domain must see every
+   id another domain has published, through array growth, with its
+   string. *)
+let test_intern_concurrent_reads () =
+  let fresh = 5000 in
+  let writer =
+    Domain.spawn (fun () ->
+        for i = 1 to fresh do
+          ignore (Intern.id_of_string (Printf.sprintf "intern-race-%d" i))
+        done)
+  in
+  let bad = ref 0 in
+  for _ = 1 to 20_000 do
+    let id = Intern.count () - 1 in
+    if id >= 0 && Intern.id_of_string (Intern.string_of_id id) <> id then incr bad
+  done;
+  Domain.join writer;
+  Alcotest.(check int) "every published id reads back" 0 !bad;
+  Alcotest.(check bool) "all interned" true
+    (Intern.mem (Printf.sprintf "intern-race-%d" fresh))
+
 (* --- Schema --------------------------------------------------------------- *)
 
 let mgr_schema () =
@@ -302,6 +323,7 @@ let suite =
     ("value: natural order on N only", `Quick, test_value_lt);
     ("value: of_string", `Quick, test_value_of_string);
     ("value: packed form and interning", `Quick, test_value_packed);
+    ("intern: reads race with interning", `Quick, test_intern_concurrent_reads);
     ("schema: positions", `Quick, test_schema_positions);
     ("schema: validation errors", `Quick, test_schema_errors);
     ("tuple: projections and conformance", `Quick, test_tuple_ops);
