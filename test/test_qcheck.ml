@@ -621,7 +621,6 @@ let suite =
     planner_matches_evaluator;
     planner_answers_match_evaluator;
     cost_planner_widened_matches_evaluator;
-    view_matches_materialized;
     multi_factorized_matches_product;
     repairs_are_maximal;
     containment_chain;
@@ -640,4 +639,5 @@ let suite =
     aggregates_within_bounds;
     winnow_choose_crosscheck;
     sharded_certainty_matches_whole;
+    view_matches_materialized;
   ]

@@ -323,7 +323,6 @@ let suite =
     ("value: natural order on N only", `Quick, test_value_lt);
     ("value: of_string", `Quick, test_value_of_string);
     ("value: packed form and interning", `Quick, test_value_packed);
-    ("intern: reads race with interning", `Quick, test_intern_concurrent_reads);
     ("schema: positions", `Quick, test_schema_positions);
     ("schema: validation errors", `Quick, test_schema_errors);
     ("tuple: projections and conformance", `Quick, test_tuple_ops);
@@ -340,4 +339,5 @@ let suite =
     ("relation: bulk builder", `Quick, test_relation_builder);
     ("database: multi-relation container", `Quick, test_database);
     ("provenance: annotations", `Quick, test_provenance);
+    ("intern: reads race with interning", `Quick, test_intern_concurrent_reads);
   ]
